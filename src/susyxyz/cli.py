@@ -68,6 +68,19 @@ def _fraction_list(text: str) -> list[Fraction]:
     return [_fraction(x) for x in text.split(",") if x]
 
 
+_QSOLVE_CHECKS = ("ddt", "qfc", "wronskian", "fn")
+
+
+def _check_list(text: str) -> list[str]:
+    names = [x for x in text.split(",") if x]
+    unknown = [x for x in names if x not in _QSOLVE_CHECKS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown check {','.join(unknown)!r}; choose from {','.join(_QSOLVE_CHECKS)}"
+        )
+    return names
+
+
 def _zeta_range(text: str) -> tuple[float, float, int]:
     try:
         a, b, steps = text.split(":")
@@ -85,7 +98,7 @@ def _resolve_output(path: str) -> str:
     return path
 
 
-def _emit(payload, args, default_name: str):
+def _emit(payload, args):
     text = json.dumps(payload, indent=2, sort_keys=True, default=_jsonable)
     if args.output:
         with open(_resolve_output(args.output), "w") as fh:
@@ -129,7 +142,7 @@ def _cmd_tau(args) -> int:
         }
     else:
         payload = {"entries": table.dump(args.n_min, args.n_max)}
-    _emit(payload, args, "tau.json")
+    _emit(payload, args)
     return 0 if ok else 1
 
 
@@ -138,7 +151,7 @@ def _cmd_fn(args) -> int:
     from .exactcore import ratfunc_to_json
 
     f = f_in_Z(args.n) if args.variable == "Z" else f_zeta(args.n)
-    _emit(ratfunc_to_json(f), args, "fn.json")
+    _emit(ratfunc_to_json(f), args)
     return 0
 
 
@@ -155,7 +168,7 @@ def _cmd_corr(args) -> int:
         "cz": str(tri.cz),
         "sum_rule_residual": str(res),
     }
-    _emit(payload, args, "corr.json")
+    _emit(payload, args)
     return 0 if res == 0 else 1
 
 
@@ -170,7 +183,7 @@ def _cmd_ed_verify(args) -> int:
         energy_tol=args.energy_tol,
         spread_tol=args.spread_tol,
     )
-    _emit(report, args, "ed-verify.json")
+    _emit(report, args)
     return 0 if report["ok"] else 1
 
 
@@ -178,21 +191,15 @@ def _cmd_pvi_verify(args) -> int:
     from .pvi import pvi_verify
 
     report = pvi_verify(args.n_max)
-    _emit(report, args, "pvi-verify.json")
+    _emit(report, args)
     return 0 if report["ok"] else 1
 
 
 def _cmd_theta_suite(args) -> int:
-    from .thetanum import identity_suite
+    from .thetanum import LEMMA_RESIDUALS, identity_suite
 
-    lemmas = {
-        "coupling_combination_product",
-        "eta_derivative_determinant",
-        "taylor_combination",
-        "prefactor_chain",
-    }
     res = identity_suite(args.tau, seed=args.seed)
-    bounds = {name: (1e-10 if name in lemmas else args.tolerance) for name in res}
+    bounds = {name: (1e-10 if name in LEMMA_RESIDUALS else args.tolerance) for name in res}
     ok = all(res[name] < bounds[name] for name in res)
     payload = {
         "tau_im": args.tau.imag,
@@ -200,7 +207,7 @@ def _cmd_theta_suite(args) -> int:
         "residuals": dict(sorted(res.items())),
         "ok": ok,
     }
-    _emit(payload, args, "theta-suite.json")
+    _emit(payload, args)
     return 0 if ok else 1
 
 
@@ -209,7 +216,7 @@ def _cmd_finf(args) -> int:
 
     rep = baxter_f_infinity(args.tau)
     rep["ok"] = rep["diff"] < args.tolerance
-    _emit(rep, args, "finf.json")
+    _emit(rep, args)
     return 0 if rep["ok"] else 1
 
 
@@ -227,7 +234,7 @@ def _cmd_qsolve(args) -> int:
     )
     from .thetanum import PI, modular_values
 
-    checks = args.check.split(",") if args.check else ["ddt", "qfc", "wronskian", "fn"]
+    checks = args.check or _QSOLVE_CHECKS
     qc = solve_q(args.n, args.tau)
     payload: dict = {
         "n": args.n,
@@ -266,7 +273,7 @@ def _cmd_qsolve(args) -> int:
         payload["f_bridge_residual"] = abs(fq - fe)
         ok = ok and payload["f_bridge_residual"] < 1e-6
     payload["ok"] = ok
-    _emit(payload, args, "qsolve.json")
+    _emit(payload, args)
     return 0 if ok else 1
 
 
@@ -347,7 +354,7 @@ def _cmd_verify_all(args) -> int:
     ok = ok and q_ok
 
     summary["ok"] = ok
-    _emit(summary, args, "verify-all.json")
+    _emit(summary, args)
     return 0 if ok else 1
 
 
@@ -409,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("qsolve", _cmd_qsolve, help="solve the Q-eigenvalue and verify")
     p.add_argument("--n", type=_nonneg_int, required=True)
     p.add_argument("--tau", type=_tau_imag, default=1j)
-    p.add_argument("--check", default=None,
+    p.add_argument("--check", type=_check_list, default=None,
                    help="comma list from ddt,qfc,wronskian,fn (default all)")
 
     p = add("plot-data", _cmd_plot_data, help="CSV of f_n curves and the limit")

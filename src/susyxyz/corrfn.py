@@ -8,21 +8,20 @@ f_n is built in the zeta variable from
             * sbar_n(1/zeta^2) sbar_{-n-1}(1/zeta^2)
               / (s_n(1/zeta^2) s_{-n-1}(1/zeta^2)),
 
-and reconstructed as a rational function of the symmetric invariant
-Z = zeta^2 (zeta^2-9)^2 / (zeta^2-1)^2 by exact rational interpolation with
-a final structural verification, so the interpolation details cannot affect
-correctness.
+and reduced to a rational function of the symmetric invariant
+Z = zeta^2 (zeta^2-9)^2 / (zeta^2-1)^2 by one exact triangular solve with
+a final structural verification, so the solve cannot affect correctness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _int_gcd
 
 from .exactcore import (
     Poly,
     RatFunc,
+    homogeneous_powers,
     ratfunc_compose,
     ratfunc_simplify,
     variable,
@@ -53,7 +52,7 @@ class PoleEncountered(ArithmeticError):
 
 
 class ReconstructionFailed(ArithmeticError):
-    """No rational function of Z within the degree cap matches f_n."""
+    """No rational function of Z of the expected degree matches f_n."""
 
 
 _ZETA = variable("zeta")
@@ -117,49 +116,21 @@ def f_zeta(n: int, table: TauTable | None = None) -> RatFunc:
     return f
 
 
-# -- exact rational interpolation in Z ---------------------------------
+# -- reduction of f_n to a rational function of Z ----------------------
 
-def _sample_zetas():
-    """Deterministic stream of rational zeta values in (0, 1), clear of
-    {0, +-1, +-3} and of each other."""
-    for b in range(3, 60):
-        for a in range(1, b):
-            if _int_gcd(a, b) == 1:
-                yield Fraction(a, b)
-
-
-def _nullspace_vector(rows: list[list[Fraction]]) -> list[Fraction] | None:
-    """One nonzero rational kernel vector of the row system, if any."""
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    mat = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        return None
-    fc = free[-1]
-    v = [Fraction(0)] * ncols
-    v[fc] = Fraction(1)
-    for row, pc in zip(mat, pivots):
-        v[pc] = -row[fc]
-    return v
+def _coordinates(h: Poly, basis: list[Poly]) -> list[Fraction] | None:
+    """c with h == sum_k c[k] basis[k], for a basis of strictly increasing
+    degrees; None when h lies outside its span."""
+    coeffs = [Fraction(0)] * len(basis)
+    k = len(basis) - 1
+    while not h.is_zero():
+        while k >= 0 and basis[k].degree > h.degree:
+            k -= 1
+        if k < 0 or basis[k].degree != h.degree:
+            return None
+        coeffs[k] = h.leading / basis[k].leading
+        h = h - coeffs[k] * basis[k]
+    return coeffs
 
 
 _fZ_cache: dict[int, RatFunc] = {}
@@ -168,51 +139,29 @@ _fZ_cache: dict[int, RatFunc] = {}
 def f_in_Z(n: int) -> RatFunc:
     """f_n as a rational function of Z, verified exactly against f_zeta(n).
 
-    The candidate comes from rational interpolation of exact sample pairs
-    (Z(zeta_i), f_n(zeta_i)); degree bounds grow from (0,0) to (2n,2n).
-    Composing the candidate with Z(zeta) and comparing with f_zeta(n)
-    structurally is the correctness certificate.
+    With Z = N/D (deg N = 6, deg D = 4) and f_n = P(Z)/Q(Z) in lowest terms
+    with max(deg P, deg Q) = d, the zeta form of f_n is, up to one common
+    constant, sum_k p_k N^k D^(d-k) over sum_k q_k N^k D^(d-k), and its
+    degree is 6d.  The basis N^k D^(d-k) has the distinct degrees 4d + 2k,
+    so one triangular solve reads p_k and q_k off the zeta numerator and
+    denominator at d = ceil(deg_zeta(f_n) / 6).  Composing the candidate
+    with Z(zeta) and comparing with f_zeta(n) structurally is the
+    correctness certificate.
     """
     if n in _fZ_cache:
         return _fZ_cache[n]
     fz = f_zeta(n)
-    cap = max(2 * n, 1)
-    samples: list[tuple[Fraction, Fraction]] = []
-    seen_Z: set[Fraction] = set()
-    gen = _sample_zetas()
-
-    def take(count):
-        while len(samples) < count:
-            zeta = next(gen)
-            try:
-                Zv = Z_OF_ZETA.evaluate(zeta)
-                fv = fz.evaluate(zeta)
-            except ZeroDivisionError:
-                continue
-            if Zv in seen_Z:
-                continue
-            seen_Z.add(Zv)
-            samples.append((Zv, fv))
-
-    for d in range(0, cap + 1):
-        take(2 * d + 4)
-        rows = []
-        for Zv, fv in samples[: 2 * d + 4]:
-            powers = [Zv**k for k in range(d + 1)]
-            rows.append(powers + [-fv * p for p in powers])
-        v = _nullspace_vector(rows)
-        if v is None:
-            continue
-        num = Poly(tuple(v[: d + 1]), "Z")
-        den = Poly(tuple(v[d + 1 :]), "Z")
-        if den.is_zero():
-            continue
-        cand = ratfunc_simplify(num, den)
+    d = -(-max(fz.num.degree, fz.den.degree) // 6)
+    basis = homogeneous_powers(Z_OF_ZETA.num, Z_OF_ZETA.den, d)
+    num = _coordinates(fz.num, basis)
+    den = _coordinates(fz.den, basis)
+    if num is not None and den is not None:
+        cand = ratfunc_simplify(Poly(tuple(num), "Z"), Poly(tuple(den), "Z"))
         if ratfunc_compose(cand, Z_OF_ZETA) == fz:
             _fZ_cache[n] = cand
             return cand
     raise ReconstructionFailed(
-        f"no rational function of Z with degrees <= {cap} matches f_{n}"
+        f"no rational function of Z with degrees <= {d} matches f_{n}"
     )
 
 

@@ -9,6 +9,26 @@ so equality of values is equality of representations.
 Scalars are ``fractions.Fraction`` (exported as ``ExactRational``): the
 stdlib type already guarantees the reduced-form invariants (coprime
 numerator/denominator, positive denominator) this package relies on.
+
+The inner loops run on integers: an operand is read as an integer
+coefficient list over one common denominator, and four kernels act on such
+lists.
+
+- Products use Kronecker substitution: each list is packed into one big
+  integer at a digit width above the largest possible product coefficient,
+  one bigint multiply forms the whole product, and the signed digits are
+  read back.
+- Exact division is integer long division by the primitive part of the
+  divisor.  By Gauss's lemma the quotient of a divisible pair is integral,
+  so an inexact step proves a nonzero remainder.
+- The gcd is the heuristic GCD (GCDHEU) of Char, Geddes and Gonnet: the
+  integer gcd of the values at a large point, expanded back in that base.
+  Exact trial division of both inputs certifies the candidate.
+- The primitive pseudo-remainder sequence is the fallback when the
+  heuristic finds no certified candidate at any of its evaluation points.
+
+Results are converted back to reduced ``Fraction`` coefficients, so the
+canonical form and the JSON wire format do not depend on the kernels.
 """
 
 from __future__ import annotations
@@ -16,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd
+from math import isqrt
 
 ExactRational = Fraction
 
@@ -32,6 +53,7 @@ __all__ = [
     "poly_gcd",
     "ratfunc_simplify",
     "ratfunc_compose",
+    "homogeneous_powers",
     "poly_to_json",
     "poly_from_json",
     "ratfunc_to_json",
@@ -176,14 +198,9 @@ class Poly:
         self._check_var(other)
         if not self.coeffs or not other.coeffs:
             return Poly((), self.var)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b != 0:
-                    out[i + j] += a * b
-        return Poly(tuple(out), self.var)
+        a, da = _int_parts(self)
+        b, db = _int_parts(other)
+        return _poly_from_ints(_kronecker_mul(a, b), 1, da * db, self.var)
 
     __rmul__ = __mul__
 
@@ -220,12 +237,6 @@ class Poly:
             return Fraction(0) if isinstance(x, (int, Fraction)) else 0 * x
         return acc
 
-    def shift_up(self, k: int) -> "Poly":
-        """Multiply by var**k."""
-        if not self.coeffs:
-            return self
-        return Poly((Fraction(0),) * k + self.coeffs, self.var)
-
 
 def variable(var: str = "z") -> Poly:
     """The polynomial ``var`` itself."""
@@ -254,45 +265,163 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
 
 def poly_exact_div(a: Poly, b: Poly) -> Poly:
     """Exact quotient a/b; raises NonzeroRemainder if b does not divide a."""
-    q, r = poly_divmod(a, b)
-    if not r.is_zero():
+    a._check_var(b)
+    if b.is_zero():
+        raise DivisionByZeroPoly("polynomial division by zero")
+    if a.is_zero():
+        return a
+    ai, da = _int_parts(a)
+    bi, db = _int_parts(b)
+    cb = _int_gcd(*bi)
+    q = _int_exact_quotient(ai, [c // cb for c in bi])
+    if q is None:
+        _, r = poly_divmod(a, b)
         raise NonzeroRemainder(f"({a}) is not divisible by ({b}); remainder {r}")
+    # a/b = (ai/da) / ((cb/db) * pp(bi)) = q * db / (da * cb)
+    return _poly_from_ints(q, db, da * cb, a.var)
+
+
+# -- integer kernels -----------------------------------------------------
+#
+# A polynomial over Q enters the kernels as (ints, den) with p == ints/den,
+# den the lcm of the coefficient denominators.  Integer arithmetic skips the
+# gcd that every Fraction operation spends on normalizing its result; a
+# Fraction is formed once per result coefficient.
+
+def _int_parts(p: Poly) -> tuple[list[int], int]:
+    """Integer coefficients over their common denominator: p == ints/den."""
+    den = 1
+    for c in p.coeffs:
+        if den % c.denominator:
+            den = den // _int_gcd(den, c.denominator) * c.denominator
+    if den == 1:
+        return [c.numerator for c in p.coeffs], 1
+    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
+
+
+_ZERO = Fraction(0)
+
+
+def _poly_from_ints(ints: list[int], num: int, den: int, var: str) -> Poly:
+    """The polynomial with coefficients ints[k] * num / den; zero
+    coefficients share one Fraction (polynomials in zeta^2 are half zeros)."""
+    if den == 1:
+        return Poly(tuple(Fraction(c * num) if c else _ZERO for c in ints), var)
+    return Poly(tuple(Fraction(c * num, den) if c else _ZERO for c in ints), var)
+
+
+def _kronecker_offset(count: int, width: int) -> int:
+    """Sum of 2**(8*width-1) * 2**(8*width*k) over k < count: the bias
+    that makes every signed digit of that width non-negative."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _kronecker_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two nonzero integer coefficient lists.
+
+    Both lists are packed into one integer at a digit width of ``width``
+    bytes; every product coefficient is bounded by max|a| * max|b| *
+    min(len), which stays below half a digit, so the digits of the integer
+    product are the coefficients in signed form.
+    """
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    width = (bound.bit_length() + 8) // 8  # 2**(8*width-1) > bound
+    half = 1 << (8 * width - 1)
+
+    def pack(ints: list[int]) -> int:
+        raw = b"".join((c + half).to_bytes(width, "little") for c in ints)
+        return int.from_bytes(raw, "little") - _kronecker_offset(len(ints), width)
+
+    n = len(a) + len(b) - 1
+    raw = (pack(a) * pack(b) + _kronecker_offset(n, width)).to_bytes(n * width, "little")
+    return [
+        int.from_bytes(raw[i : i + width], "little") - half
+        for i in range(0, n * width, width)
+    ]
+
+
+def _int_exact_quotient(a: list[int], b: list[int]) -> list[int] | None:
+    """Quotient a/b of nonzero integer lists, b primitive; None when b does
+    not divide a.
+
+    With b primitive, b | a in Q[x] implies the quotient lies in Z[x]
+    (Gauss's lemma), so a step whose leading division by lead(b) is not
+    exact, or a nonzero low remainder, proves that b does not divide a.
+    """
+    db = len(b) - 1
+    if len(a) <= db:
+        return None
+    lb = b[-1]
+    r = list(a)
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[k + db], lb)
+        if rem:
+            return None
+        if c:
+            q[k] = c
+            r[k : k + db] = [x - c * y for x, y in zip(r[k : k + db], b)]
+    if any(r[:db]):
+        return None
     return q
 
 
-# -- gcd via primitive pseudo-remainder sequences over Z ---------------
-#
-# Clearing denominators and stripping integer content at every step keeps
-# the intermediate coefficients near the subresultant bound, which is what
-# makes repeated simplification of the tau-recursion outputs affordable.
-
-def _int_coeffs(p: Poly) -> list[int]:
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // _int_gcd(den, c.denominator)
-    ints = [int(c * den) for c in p.coeffs]
-    g = 0
-    for c in ints:
-        g = _int_gcd(g, abs(c))
-    if g > 1:
-        ints = [c // g for c in ints]
-    if ints and ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
-
-
 def _int_primitive(ints: list[int]) -> list[int]:
-    while ints and ints[-1] == 0:
-        ints.pop()
-    g = 0
-    for c in ints:
-        g = _int_gcd(g, abs(c))
-    if g > 1:
-        ints = [c // g for c in ints]
-    if ints and ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+    """A nonzero integer list divided by its content, leading coefficient
+    made positive."""
+    g = _int_gcd(*ints)
+    return [c // g for c in ints] if ints[-1] > 0 else [c // -g for c in ints]
 
+
+# Heuristic gcd.  For primitive A, B in Z[x] and an integer
+# xi >= 2 * min(|A|_inf, |B|_inf) + 2, let h be the polynomial whose
+# coefficients are the symmetric xi-adic digits of gcd(A(xi), B(xi)).  If
+# pp(h) divides both A and B, then pp(h) is gcd(A, B) (Char, Geddes and
+# Gonnet, 1989).  A spurious integer factor of the values only makes the
+# trial division fail, and then a larger xi is tried.
+
+_HEU_GCD_POINTS = 6
+
+
+def _int_eval(ints: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(ints):
+        acc = acc * x + c
+    return acc
+
+
+def _symmetric_digits(h: int, xi: int) -> list[int]:
+    """Digits of h in base xi, each in (-xi/2, xi/2], lowest first."""
+    digits = []
+    while h:
+        d = h % xi
+        if d > xi // 2:
+            d -= xi
+        digits.append(d)
+        h = (h - d) // xi
+    return digits
+
+
+def _heuristic_gcd(a: list[int], b: list[int]):
+    """(gcd, a/gcd, b/gcd) of primitive integer lists, or None when no
+    evaluation point yields a candidate that divides both."""
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(_HEU_GCD_POINTS):
+        va, vb = _int_eval(a, xi), _int_eval(b, xi)
+        if va and vb:
+            g = _int_primitive(_symmetric_digits(_int_gcd(va, vb), xi))
+            qa = _int_exact_quotient(a, g)
+            if qa is not None:
+                qb = _int_exact_quotient(b, g)
+                if qb is not None:
+                    return g, qa, qb
+        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+# Fallback: the primitive pseudo-remainder sequence over Z.  Stripping the
+# integer content at every step keeps the intermediate coefficients near
+# the subresultant bound.
 
 def _int_prem(a: list[int], b: list[int]) -> list[int]:
     """Pseudo-remainder of integer coefficient lists, up to an associate."""
@@ -312,6 +441,37 @@ def _int_prem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
+def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
+    """gcd of primitive integer lists, up to sign."""
+    if len(a) < len(b):
+        a, b = b, a
+    while True:
+        r = _int_prem(a, b)
+        if not r:
+            return b
+        a, b = b, _int_primitive(r)
+
+
+def _int_gcd_cofactors(a: list[int], b: list[int]):
+    """(gcd, a/gcd, b/gcd) of nonzero primitive integer lists."""
+    # The power of x is split off first: x**k evaluates to xi**k, whose
+    # gcd with the other value collects every power of a prime of xi that
+    # divides it, and such spurious factors can defeat every point.
+    ka = next(i for i, c in enumerate(a) if c)
+    kb = next(i for i, c in enumerate(b) if c)
+    k = min(ka, kb)
+    a, b = a[ka:], b[kb:]
+    if len(a) == 1 or len(b) == 1:
+        g, qa, qb = [1], a, b
+    else:
+        found = _heuristic_gcd(a, b)
+        if found is None:
+            g = _prs_gcd(a, b)
+            found = g, _int_exact_quotient(a, g), _int_exact_quotient(b, g)
+        g, qa, qb = found
+    return [0] * k + g, [0] * (ka - k) + qa, [0] * (kb - k) + qb
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd of a and b."""
     a._check_var(b)
@@ -319,15 +479,10 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return b.monic() if not b.is_zero() else b
     if b.is_zero():
         return a.monic()
-    A, B = _int_coeffs(a), _int_coeffs(b)
-    if len(A) < len(B):
-        A, B = B, A
-    while True:
-        R = _int_prem(A, B)
-        if not R:
-            break
-        A, B = B, _int_primitive(R)
-    return Poly(tuple(Fraction(c) for c in B), a.var).monic()
+    g, _, _ = _int_gcd_cofactors(
+        _int_primitive(_int_parts(a)[0]), _int_primitive(_int_parts(b)[0])
+    )
+    return _poly_from_ints(g, 1, g[-1], a.var)
 
 
 @dataclass(frozen=True)
@@ -444,15 +599,32 @@ def ratfunc_simplify(num: Poly, den: Poly) -> RatFunc:
         raise DivisionByZeroPoly("rational function with zero denominator")
     if num.is_zero():
         return RatFunc(Poly((), num.var), Poly.constant(1, num.var))
-    g = poly_gcd(num, den)
-    if g.degree > 0:
-        num = poly_exact_div(num, g)
-        den = poly_exact_div(den, g)
-    lc = den.leading
-    if lc != 1:
-        den = den.monic()
-        num = num * (1 / lc)
-    return RatFunc(num, den)
+    ni, dn = _int_parts(num)
+    di, dd = _int_parts(den)
+    cn, cd = _int_gcd(*ni), _int_gcd(*di)
+    g, nq, dq = _int_gcd_cofactors([c // cn for c in ni], [c // cd for c in di])
+    if len(g) == 1 and den.leading == 1:
+        return RatFunc(num, den)
+    # num/den = (cn/dn) nq / ((cd/dd) dq), scaled so that dq becomes monic
+    lc = dq[-1]
+    return RatFunc(
+        _poly_from_ints(nq, cn * dd, dn * cd * lc, num.var),
+        _poly_from_ints(dq, 1, lc, num.var),
+    )
+
+
+def homogeneous_powers(num: Poly, den: Poly, d: int) -> list[Poly]:
+    """num^k * den^(d-k) for k = 0..d.
+
+    Substituting x = num/den into sum_k c_k x^k, k <= d, and clearing the
+    denominator den^d gives sum_k c_k times these polynomials.
+    """
+    pw_n = [Poly.constant(1, num.var)]
+    pw_d = [Poly.constant(1, num.var)]
+    for _ in range(d):
+        pw_n.append(pw_n[-1] * num)
+        pw_d.append(pw_d[-1] * den)
+    return [pw_n[k] * pw_d[d - k] for k in range(d + 1)]
 
 
 def ratfunc_compose(f: RatFunc, g: RatFunc) -> RatFunc:
@@ -462,21 +634,14 @@ def ratfunc_compose(f: RatFunc, g: RatFunc) -> RatFunc:
     Raises IdenticallySingular when the denominator of f vanishes
     identically on the image of g.
     """
-    gn, gd = g.num, g.den
-    dmax = max(f.num.degree, f.den.degree, 0)
-    # powers gn^k * gd^(dmax-k), assembled once
-    pw_n = [Poly.constant(1, g.var)]
-    pw_d = [Poly.constant(1, g.var)]
-    for _ in range(dmax):
-        pw_n.append(pw_n[-1] * gn)
-        pw_d.append(pw_d[-1] * gd)
+    basis = homogeneous_powers(g.num, g.den, max(f.num.degree, f.den.degree, 0))
 
     def clear(p: Poly) -> Poly:
-        # p(g) * gd^dmax as a polynomial in y
+        # p(g) * g.den^dmax as a polynomial in y
         out = Poly((), g.var)
         for k, c in enumerate(p.coeffs):
             if c != 0:
-                out = out + c * pw_n[k] * pw_d[dmax - k]
+                out = out + c * basis[k]
         return out
 
     an = clear(f.num)

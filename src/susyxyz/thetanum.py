@@ -34,6 +34,7 @@ __all__ = [
     "gamma_of_eta",
     "eta_derivative",
     "identity_suite",
+    "LEMMA_RESIDUALS",
     "expansion_E",
     "baxter_f_infinity",
 ]
@@ -316,6 +317,18 @@ def _rel(lhs: complex, rhs: complex) -> float:
 
 def _rand_u(rng: random.Random, tau: complex) -> complex:
     return rng.uniform(-3.0, 3.0) + 1j * rng.uniform(-0.4, 0.4) * abs(tau)
+
+
+#: identity_suite entries built from chains of theta evaluations
+#: (finite-difference eta derivatives, contour Taylor coefficients, removable
+#: 0/0 limits raised to powers, couplings at generic eta), whose round-off
+#: exceeds that of one identity: they are held to 1e-10, the rest to 1e-11.
+LEMMA_RESIDUALS = frozenset({
+    "coupling_combination_product",
+    "eta_derivative_determinant",
+    "taylor_combination",
+    "prefactor_chain",
+})
 
 
 def identity_suite(tau: complex, seed: int = 0, samples: int = 20) -> dict:

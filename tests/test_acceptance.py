@@ -112,20 +112,14 @@ def test_criterion_6_painleve_bridge():
 
 
 def test_criterion_7_identity_suite():
-    from susyxyz.thetanum import identity_suite
+    from susyxyz.thetanum import LEMMA_RESIDUALS, identity_suite
 
-    lemmas = {
-        "coupling_combination_product",
-        "eta_derivative_determinant",
-        "taylor_combination",
-        "prefactor_chain",
-    }
     t0 = time.monotonic()
     ok = True
     for tau in (0.5j, 1j, 2j):
         res = identity_suite(tau, seed=20, samples=20)
         for name, value in res.items():
-            ok = ok and value < (1e-10 if name in lemmas else 1e-11)
+            ok = ok and value < (1e-10 if name in LEMMA_RESIDUALS else 1e-11)
     elapsed = time.monotonic() - t0
     _report(7, "theta identity suite (3 nomes, 20 samples)", ok and elapsed < 30.0)
 

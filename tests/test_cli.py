@@ -63,6 +63,10 @@ def test_usage_errors_exit_2(capsys):
         main(["finf", "--tau", "-1.0"])
     assert exc.value.code == 2
     capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["qsolve", "--n", "0", "--check", "wronskain"])
+    assert exc.value.code == 2
+    assert "wronskain" in capsys.readouterr().err
 
 
 def test_ed_verify_small(capsys):

@@ -56,13 +56,24 @@ def test_f_in_Z_matches_printed_table(n):
     assert f_in_Z(n) == _printed_table()[n]
 
 
-@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize("n", range(10))
 def test_fn_pair_invariants(n):
     pair = fn_pair(n)
     # evenness in zeta
     minus = RatFunc.from_poly(-variable("zeta"))
     even = ratfunc_compose(pair.in_zeta, minus)
     assert even == pair.in_zeta
+
+
+def test_f_in_Z_failure_names_the_degree(monkeypatch):
+    from susyxyz import corrfn
+
+    # zeta^7 is odd, so no rational function of Z matches it; ceil(7/6) = 2
+    zeta = variable("zeta")
+    monkeypatch.setattr(corrfn, "_fZ_cache", {})
+    monkeypatch.setattr(corrfn, "f_zeta", lambda n: RatFunc.from_poly(zeta**7))
+    with pytest.raises(corrfn.ReconstructionFailed, match="degrees <= 2 matches f_3"):
+        f_in_Z(3)
 
 
 @pytest.mark.parametrize("n", range(6))

@@ -211,3 +211,145 @@ def test_json_coefficient_strings():
     f = ratfunc_simplify(P(-1, 0, 1), P(-2, 2))
     obj = ratfunc_to_json(f)
     assert obj == {"variable": "z", "num": ["1/2", "1/2"], "den": ["1"]}
+
+
+# -- integer kernels against a schoolbook Fraction reference -------------
+
+def ref_mul(a, b):
+    if a.is_zero() or b.is_zero():
+        return Poly((), a.var)
+    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return Poly(tuple(out), a.var)
+
+
+def ref_divmod(a, b):
+    rem = list(a.coeffs)
+    q = [Fraction(0)] * max(len(rem) - len(b.coeffs) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = rem[k + b.degree] / b.leading
+        q[k] = c
+        for i, y in enumerate(b.coeffs):
+            rem[i + k] -= c * y
+    return Poly(tuple(q), a.var), Poly(tuple(rem[: b.degree]), a.var)
+
+
+def ref_monic(p):
+    return Poly(tuple(c / p.leading for c in p.coeffs), p.var)
+
+
+def ref_gcd(a, b):
+    while not b.is_zero():
+        a, b = b, ref_divmod(a, b)[1]
+    return ref_monic(a) if not a.is_zero() else a
+
+
+def ref_simplify(num, den):
+    if num.is_zero():
+        return RatFunc(num, P(1, var=num.var))
+    g = ref_gcd(num, den)
+    num, den = ref_divmod(num, g)[0], ref_divmod(den, g)[0]
+    lc = den.leading
+    return RatFunc(Poly(tuple(c / lc for c in num.coeffs), num.var), ref_monic(den))
+
+
+def kernel_operands(rng):
+    """Zero, constants, negative and mixed-denominator coefficients of
+    unequal lengths, and tau-table entries with up to 43-digit coefficients."""
+    from susyxyz.taurec import default_table
+
+    table = default_table()
+    ops = [P(), P(1), P(-3), P(Fraction(-7, 4)), P(0, 1), P(0, 0, 0, 1), P(0, 0, 5, -2),
+           P(Fraction(1, 3), 0, -2)]
+    ops += [table.s(-15), table.sbar(-15), table.s(-14), table.sbar(9), table.s(12)]
+    for _ in range(40):
+        deg = rng.randrange(0, 12)
+        ops.append(Poly(tuple(Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 50))
+                              for _ in range(deg + 1)), "z"))
+    return ops
+
+
+def test_mul_and_exact_div_match_reference():
+    rng = random.Random(41)
+    ops = kernel_operands(rng)
+    for _ in range(300):
+        a, b = rng.choice(ops), rng.choice(ops)
+        prod = a * b
+        assert prod == ref_mul(a, b)
+        assert b * a == prod
+        if not b.is_zero():
+            assert poly_exact_div(prod, b) == a
+
+
+def test_gcd_and_simplify_match_reference():
+    rng = random.Random(43)
+    ops = kernel_operands(rng)
+    small = [p for p in ops if p.degree <= 12]
+    for _ in range(120):
+        g = rng.choice(small)
+        a, b = rng.choice(ops) * g, rng.choice(small) * g
+        if a.is_zero() and b.is_zero():
+            continue
+        assert poly_gcd(a, b) == ref_gcd(a, b)
+        if not b.is_zero():
+            assert ratfunc_simplify(a, b) == ref_simplify(a, b)
+
+
+def test_gcd_with_power_of_variable_needs_no_fallback(monkeypatch):
+    # the reversed tau entries have highly composite constant terms, which
+    # share prime powers with z^k at every evaluation point of the
+    # heuristic unless the power of z is split off first
+    from susyxyz import exactcore
+    from susyxyz.taurec import default_table
+
+    def no_fallback(a, b):
+        raise AssertionError("PRS fallback used")
+
+    monkeypatch.setattr(exactcore, "_prs_gcd", no_fallback)
+    table = default_table()
+    rev = lambda p: Poly(tuple(reversed(p.coeffs)), "z")
+    a = rev(table.sbar(14)) * rev(table.sbar(-15))
+    assert poly_gcd(a * Z**3, Z**100) == Z**3
+    f = ratfunc_simplify(a * Z**3, Z**100)
+    assert f.num == a and f.den == Z**97
+
+
+def test_exact_div_lead_coefficient_mismatch():
+    # lead 3 is not a multiple of lead 2 of the primitive divisor 2z + 1
+    with pytest.raises(NonzeroRemainder):
+        poly_exact_div(P(1, 1, 3), P(1, 2))
+
+
+def test_exact_div_low_only_remainder():
+    # z^3 + 1 = (z^2 - 1) z + (z + 1): every quotient step is exact in Z
+    with pytest.raises(NonzeroRemainder):
+        poly_exact_div(P(1, 0, 0, 1), P(-1, 0, 1))
+    with pytest.raises(NonzeroRemainder):
+        poly_exact_div(P(2), P(-1, 1))
+
+
+def test_prs_fallback_reproduces_results(monkeypatch):
+    from susyxyz import corrfn, exactcore, pvi
+    from susyxyz.cli import REFERENCE_FN_Z
+
+    fallbacks = []
+    prs_gcd = exactcore._prs_gcd
+
+    def counting_prs_gcd(a, b):
+        fallbacks.append(1)
+        return prs_gcd(a, b)
+
+    monkeypatch.setattr(exactcore, "_heuristic_gcd", lambda a, b: None)
+    monkeypatch.setattr(exactcore, "_prs_gcd", counting_prs_gcd)
+    monkeypatch.setattr(corrfn, "_fz_cache", {})
+    monkeypatch.setattr(corrfn, "_fZ_cache", {})
+    monkeypatch.setattr(pvi, "_orbit", [])
+    for n, (num, den) in REFERENCE_FN_Z.items():
+        got = ratfunc_to_json(corrfn.f_in_Z(n))
+        assert (got["num"], got["den"]) == (num, den)
+    for n in range(4):
+        r1, r2 = pvi.hamilton_residuals(pvi.iterate_T(n))
+        assert r1.is_zero() and r2.is_zero() and pvi.fpqp_residual(n).is_zero()
+    assert fallbacks

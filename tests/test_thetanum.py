@@ -7,6 +7,7 @@ import math
 import pytest
 
 from susyxyz.thetanum import (
+    LEMMA_RESIDUALS,
     PI,
     CrossCheckFailure,
     LatticePoint,
@@ -198,14 +199,9 @@ def test_boltzmann_sum_normalization():
 @pytest.mark.parametrize("tau", [0.5j, 1j, 2j])
 def test_identity_suite_residuals(tau):
     res = identity_suite(tau, seed=20)
-    lemmas = {
-        "coupling_combination_product",
-        "eta_derivative_determinant",
-        "taylor_combination",
-        "prefactor_chain",
-    }
+    assert LEMMA_RESIDUALS <= res.keys()
     for name, value in res.items():
-        bound = 1e-10 if name in lemmas else 1e-11
+        bound = 1e-10 if name in LEMMA_RESIDUALS else 1e-11
         assert value < bound, f"{name}: {value}"
 
 
