@@ -43,9 +43,12 @@ def _nonneg_int(text: str) -> int:
 
 
 def _odd_length(text: str) -> int:
+    # imported here: importing cli must not pull in numpy and scipy
+    from .edoracle import L_MAX
+
     L = int(text)
-    if L % 2 == 0 or not 3 <= L <= 13:
-        raise argparse.ArgumentTypeError(f"L must be odd with 3 <= L <= 13, got {L}")
+    if L % 2 == 0 or not 3 <= L <= L_MAX:
+        raise argparse.ArgumentTypeError(f"L must be odd with 3 <= L <= {L_MAX}, got {L}")
     return L
 
 

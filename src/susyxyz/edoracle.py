@@ -6,7 +6,10 @@ Couplings follow J_x = 1 + zeta, J_y = 1 - zeta, J_z = (zeta^2 - 1)/2, the
 normalization in which the ground-state energy is exactly -L (zeta^2 + 3)/4
 at every odd L.  Basis states are bit strings; bit j set means spin down at
 site j, and the even sector collects states with an even number of down
-spins.
+spins.  Every ground state, at every L, comes from one Lanczos run (ARPACK)
+on the sparse even-sector matrix from a start vector seeded by L, so a
+result does not depend on what the process computed before; correlators are
+measured on the sector vector.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .thetanum import ThetaContext, modular_values, theta
@@ -39,9 +42,8 @@ __all__ = [
     "ed_verify",
 ]
 
-L_MAX = 13
+L_MAX = 19
 L_MAX_TRANSFER = 9
-DENSE_SECTOR_LIMIT = 2048
 GAP_TOL = 1e-8
 INVERSION_EXCLUSION = 1e-3
 
@@ -72,6 +74,17 @@ def _check_length(L: int, limit: int = L_MAX):
         raise SizeLimit(f"need odd L with 3 <= L <= {limit}, got {L}")
 
 
+def _bonds(L: int, sec: np.ndarray):
+    """For each bond (j, j+1), on every sector state: s_j s_{j+1} as +-1.0,
+    and the sector position of the state with both spins flipped."""
+    pos = np.empty(2**L, dtype=np.int64)
+    pos[sec] = np.arange(len(sec))
+    for j in range(L):
+        k = (j + 1) % L
+        zz = 1.0 - 2.0 * (((sec >> j) ^ (sec >> k)) & 1)
+        yield zz, pos[sec ^ ((1 << j) | (1 << k))]
+
+
 @dataclass
 class SpinOperator:
     """Periodic XYZ Hamiltonian at odd length L with given couplings."""
@@ -79,22 +92,21 @@ class SpinOperator:
     L: int
     couplings: tuple[float, float, float]
 
-    def _bits(self):
-        idx = np.arange(2**self.L)
-        return idx, (idx[:, None] >> np.arange(self.L)) & 1
-
     def sector_indices(self) -> np.ndarray:
-        """Basis indices with an even number of down spins."""
-        idx, bits = self._bits()
-        return idx[bits.sum(axis=1) % 2 == 0]
+        """Basis indices with an even number of down spins, in increasing order."""
+        idx = np.arange(2**self.L)
+        parity = np.zeros_like(idx)
+        for j in range(self.L):
+            parity ^= idx >> j
+        return idx[parity & 1 == 0]
 
     def full_matrix(self) -> np.ndarray:
         """Dense 2^L x 2^L matrix (small L only)."""
         if self.L > 11:
             raise SizeLimit("full dense matrix limited to L <= 11")
         Jx, Jy, Jz = self.couplings
-        idx, bits = self._bits()
-        s = 1.0 - 2.0 * bits
+        idx = np.arange(2**self.L)
+        s = 1.0 - 2.0 * ((idx[:, None] >> np.arange(self.L)) & 1)
         dim = 2**self.L
         H = np.zeros((dim, dim))
         for j in range(self.L):
@@ -105,38 +117,30 @@ class SpinOperator:
             H[idx ^ mask, idx] += amp
         return H
 
-    def sector_matrix(self, sparse: bool | None = None):
-        """Hamiltonian restricted to the even sector (dense or sparse COO)."""
+    def sector_matrix(self, sparse: bool = True):
+        """Hamiltonian restricted to the even sector, as CSR or dense.
+
+        Row r holds the L flip partners of sector state r, then the diagonal;
+        the bond masks are distinct for L >= 3, so no entry repeats.
+        """
         Jx, Jy, Jz = self.couplings
-        idx, bits = self._bits()
-        s = 1.0 - 2.0 * bits
-        sec = idx[bits.sum(axis=1) % 2 == 0]
+        sec = self.sector_indices()
         n = len(sec)
-        if sparse is None:
-            sparse = n > DENSE_SECTOR_LIMIT
-        pos = np.full(2**self.L, -1, dtype=np.int64)
-        pos[sec] = np.arange(n)
-        ssec = s[sec]
-        rows, cols, vals = [], [], []
+        cols, vals = [], []
         diag = np.zeros(n)
-        ar = np.arange(n)
-        for j in range(self.L):
-            k = (j + 1) % self.L
-            diag += -0.5 * Jz * ssec[:, j] * ssec[:, k]
-            mask = (1 << j) | (1 << k)
-            fpos = pos[sec ^ mask]
-            amp = -0.5 * (Jx + Jy * np.where(ssec[:, j] == ssec[:, k], -1.0, 1.0))
-            rows.append(fpos)
-            cols.append(ar)
-            vals.append(amp)
-        rows.append(ar)
-        cols.append(ar)
+        for zz, partner in _bonds(self.L, sec):
+            diag += -0.5 * Jz * zz
+            cols.append(partner)
+            vals.append(-0.5 * (Jx - Jy * zz))
+        cols.append(np.arange(n))
         vals.append(diag)
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-        m = coo_matrix((vals, (rows, cols)), shape=(n, n))
-        return m.tocsr() if sparse else m.toarray()
+        width = self.L + 1
+        m = csr_matrix(
+            (np.column_stack(vals).ravel(), np.column_stack(cols).ravel(),
+             np.arange(0, n * width + 1, width)),
+            shape=(n, n),
+        )
+        return m if sparse else m.toarray()
 
 
 def build_hamiltonian(L: int, zeta: float) -> SpinOperator:
@@ -167,29 +171,20 @@ class GroundState:
         return psi
 
 
-def _ground_state(op: SpinOperator, sigma_hint: float | None = None) -> GroundState:
+def _ground_state(op: SpinOperator) -> GroundState:
     sec = op.sector_indices()
-    n = len(sec)
-    if n <= DENSE_SECTOR_LIMIT:
-        H = op.sector_matrix(sparse=False)
-        vals, vecs = np.linalg.eigh(H)
-        e0, e1 = vals[0], vals[1]
-        v = vecs[:, 0]
-        residual = float(np.linalg.norm(H @ v - e0 * v))
-    else:
-        H = op.sector_matrix(sparse=True)
-        sigma = sigma_hint if sigma_hint is not None else None
-        try:
-            if sigma is not None:
-                vals, vecs = eigsh(H, k=2, sigma=sigma, which="LM")
-            else:
-                vals, vecs = eigsh(H, k=2, which="SA")
-        except ArpackNoConvergence as exc:
-            raise NoConvergence(str(exc)) from exc
-        order = np.argsort(vals)
-        e0, e1 = vals[order[0]], vals[order[1]]
-        v = vecs[:, order[0]]
-        residual = float(np.linalg.norm(H @ v - e0 * v))
+    H = op.sector_matrix(sparse=True)
+    # Without a start vector ARPACK draws one from a generator whose state
+    # persists across calls, so the result would depend on earlier calls.
+    v0 = np.random.default_rng(op.L).standard_normal(len(sec))
+    try:
+        vals, vecs = eigsh(H, k=2, which="SA", v0=v0)
+    except ArpackNoConvergence as exc:
+        raise NoConvergence(str(exc)) from exc
+    order = np.argsort(vals)
+    e0, e1 = vals[order[0]], vals[order[1]]
+    v = vecs[:, order[0]]
+    residual = float(np.linalg.norm(H @ v - e0 * v))
     scale = max(abs(e0), 1.0)
     gap = float((e1 - e0) / scale)
     if gap < GAP_TOL:
@@ -205,33 +200,23 @@ def _ground_state(op: SpinOperator, sigma_hint: float | None = None) -> GroundSt
 def ground_state_even_sector(L: int, zeta: float) -> GroundState:
     """Ground state of H restricted to the even sector.
 
-    Dense below 2^{L-1} = 2048; shift-invert Lanczos above, seeded at the
-    expected supersymmetric energy minus one (the result is verified by its
-    residual and gap, never assumed).
+    Lanczos for the two lowest eigenvalues of the sparse sector matrix, from
+    a start vector seeded by L; the result is verified by its residual and
+    relative gap, never assumed.
     """
-    op = build_hamiltonian(L, zeta)
-    z = float(zeta)
-    sigma = -L * (z * z + 3.0) / 4.0 - 1.0
-    return _ground_state(op, sigma_hint=sigma)
+    return _ground_state(build_hamiltonian(L, zeta))
 
 
 def measure_correlations(state: GroundState):
     """Bond-averaged (Cx, Cy, Cz), plus per-bond values and their spread."""
-    L = state.L
-    psi = state.full_vector()
-    idx = np.arange(2**L)
-    bits = (idx[:, None] >> np.arange(L)) & 1
-    s = 1.0 - 2.0 * bits
+    psi = state.vector
     w = psi * psi
     per_bond = {"x": [], "y": [], "z": []}
-    for j in range(L):
-        k = (j + 1) % L
-        per_bond["z"].append(float(np.dot(w, s[:, j] * s[:, k])))
-        mask = (1 << j) | (1 << k)
-        flipped = psi[idx ^ mask]
+    for zz, partner in _bonds(state.L, state.sector):
+        flipped = psi[partner]
+        per_bond["z"].append(float(np.dot(w, zz)))
         per_bond["x"].append(float(np.dot(psi, flipped)))
-        mu = np.where(s[:, j] == s[:, k], -1.0, 1.0)
-        per_bond["y"].append(float(np.dot(psi, flipped * mu)))
+        per_bond["y"].append(float(-np.dot(psi, flipped * zz)))
     triple = tuple(float(np.mean(per_bond[a])) for a in "xyz")
     spread = max(
         abs(v - np.mean(per_bond[a])) for a in "xyz" for v in per_bond[a]
@@ -254,6 +239,7 @@ def infer_f(L: int, zeta: float) -> dict:
         "spread": spread,
         "energy": state.energy,
         "gap": state.gap,
+        "residual": state.residual,
     }
 
 
@@ -346,7 +332,8 @@ def ed_verify(Ls=(3, 5, 7, 9, 11), zetas=DEFAULT_ZETA_GRID, transfer=False,
 
     Checks, per sample: the closed-form ground energy (relative), three-way
     agreement of the inverted f, agreement with the tau-function f_n, and
-    translation invariance of the per-bond correlators.
+    translation invariance of the per-bond correlators.  Each sample also
+    reports the relative sector gap and the eigenpair residual.
     """
     from .corrfn import f_zeta
 
@@ -379,6 +366,8 @@ def ed_verify(Ls=(3, 5, 7, 9, 11), zetas=DEFAULT_ZETA_GRID, transfer=False,
             entry["f_inferred"] = inf["f_z"]
             entry["f_agreement"] = max(three_way, abs(inf["f_z"] - fe))
             entry["per_bond_spread"] = inf["spread"]
+            entry["gap"] = inf["gap"]
+            entry["residual"] = inf["residual"]
             entry["ok"] = (
                 entry["energy_residual"] < energy_tol
                 and entry["f_agreement"] < f_tol

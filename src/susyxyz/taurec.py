@@ -26,8 +26,6 @@ __all__ = [
     "default_table",
     "tau_s",
     "tau_sbar",
-    "tau_xxz_check",
-    "tau_zero_structure_check",
 ]
 
 _ONE = Poly((Fraction(1),), "z")
@@ -158,10 +156,3 @@ def tau_sbar(n: int) -> Poly:
     """sbar_n as an exact polynomial in z."""
     return _DEFAULT.sbar(n)
 
-
-def tau_xxz_check(n_max: int) -> dict:
-    return _DEFAULT.xxz_check(n_max)
-
-
-def tau_zero_structure_check(n_max: int) -> dict:
-    return _DEFAULT.zero_structure_check(n_max)

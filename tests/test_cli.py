@@ -133,6 +133,19 @@ def test_output_dir_env(capsys, tmp_path, monkeypatch):
     assert json.loads((tmp_path / "f0.json").read_text())["num"] == []
 
 
+def test_ed_verify_length_limit_is_L_MAX(capsys):
+    from susyxyz.edoracle import L_MAX
+
+    code, out = run(capsys, "ed-verify", "--L", "15", "--zeta-grid", "2/5")
+    assert code == 0
+    (sample,) = json.loads(out)["samples"]
+    assert sample["gap"] > 1e-8 and sample["residual"] < 1e-10 * 15
+    with pytest.raises(SystemExit) as exc:
+        main(["ed-verify", "--L", str(L_MAX + 2)])
+    assert exc.value.code == 2
+    assert f"<= {L_MAX}" in capsys.readouterr().err
+
+
 def test_failed_assertion_exits_1(capsys):
     # an unattainable tolerance must flip the exit code, never crash
     code, out = run(capsys, "ed-verify", "--L", "3", "--zeta-grid", "1/5",
