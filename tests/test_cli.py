@@ -146,6 +146,18 @@ def test_ed_verify_length_limit_is_L_MAX(capsys):
     assert f"<= {L_MAX}" in capsys.readouterr().err
 
 
+def test_ed_verify_transfer_reports_skipped_lengths(capsys):
+    code, out = run(capsys, "ed-verify", "--L", "11", "--zeta-grid", "2/5",
+                    "--transfer")
+    assert code == 0
+    report = json.loads(out)
+    assert report["ok"] is True
+    assert [(t["L"], t["tau_im"], t["skipped"]) for t in report["transfer"]] == [
+        (11, 0.5, "SizeLimit"),
+        (11, 1.0, "SizeLimit"),
+    ]
+
+
 def test_failed_assertion_exits_1(capsys):
     # an unattainable tolerance must flip the exit code, never crash
     code, out = run(capsys, "ed-verify", "--L", "3", "--zeta-grid", "1/5",

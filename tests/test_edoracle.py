@@ -13,9 +13,11 @@ from susyxyz.edoracle import (
     boltzmann_weights,
     build_from_couplings,
     build_hamiltonian,
+    ed_verify,
     ground_state_even_sector,
     infer_f,
     measure_correlations,
+    transfer_apply,
     transfer_checks,
     transfer_matrix,
 )
@@ -224,3 +226,75 @@ def test_sector_ground_state_matches_full_space_reference():
         assert abs(per_bond["x"][j] - np.dot(psi, flipped)) < 1e-12
         assert abs(per_bond["y"][j] - np.dot(psi, flipped * mu)) < 1e-12
         assert abs(per_bond["z"][j] - np.dot(psi * psi, s[:, j] * s[:, k])) < 1e-12
+
+
+def _kron_transfer_matrix(L, u, eta, tau):
+    # reference: the auxiliary blocks as 2x2 chain matrices, grown by kron sums
+    a, b, c, d = boltzmann_weights(u, eta, tau)
+    site = {
+        (0, 0): np.array([[a, 0], [0, b]], dtype=complex),
+        (0, 1): np.array([[0, d], [c, 0]], dtype=complex),
+        (1, 0): np.array([[0, c], [d, 0]], dtype=complex),
+        (1, 1): np.array([[b, 0], [0, a]], dtype=complex),
+    }
+    G = dict(site)
+    for _ in range(L - 1):
+        G = {
+            (al, ga): sum(np.kron(G[al, be], site[be, ga]) for be in (0, 1))
+            for al in (0, 1)
+            for ga in (0, 1)
+        }
+    return G[0, 0] + G[1, 1]
+
+
+TRANSFER_US = (0.31, 2.02, 0.52, 0.52 + np.pi)
+
+
+@pytest.mark.parametrize("tau", [0.5j, 1j])
+@pytest.mark.parametrize("L", [3, 5, 7, 9])
+def test_transfer_matrix_matches_kron_reference(L, tau):
+    for u in TRANSFER_US:
+        ref = _kron_transfer_matrix(L, u, np.pi / 3, tau)
+        T = transfer_matrix(L, u, np.pi / 3, tau)
+        assert np.linalg.norm(T - ref) <= 1e-15 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("tau", [0.5j, 1j])
+@pytest.mark.parametrize("L", [3, 5, 7, 9])
+def test_transfer_apply_matches_kron_reference(L, tau):
+    rng = np.random.default_rng(L)
+    v = rng.standard_normal(2**L) + 1j * rng.standard_normal(2**L)
+    for u in TRANSFER_US:
+        expected = _kron_transfer_matrix(L, u, np.pi / 3, tau) @ v
+        got = transfer_apply(L, u, np.pi / 3, tau, v)
+        assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+
+
+def test_transfer_apply_beyond_dense_limit():
+    v = np.random.default_rng(11).standard_normal(2**11)
+    w = transfer_apply(11, 0.77, np.pi / 3, 1j, v)
+    assert w.shape == (2**11,)
+    assert np.all(np.isfinite(w))
+    with pytest.raises(SizeLimit):
+        transfer_apply(L_MAX + 2, 0.77, np.pi / 3, 1j, np.zeros(2 ** (L_MAX + 2)))
+
+
+def test_transfer_checks_rejects_length_before_solving(monkeypatch):
+    import susyxyz.edoracle as edoracle
+
+    def solve(*args):
+        raise AssertionError("ground state solved before the length check")
+
+    monkeypatch.setattr(edoracle, "ground_state_even_sector", solve)
+    with pytest.raises(SizeLimit):
+        transfer_checks(11, 1j)
+
+
+def test_ed_verify_reports_transfer_size_skips():
+    rep = ed_verify(Ls=(11,), zetas=(Fraction(2, 5),), transfer=True)
+    assert rep["ok"] is True
+    assert [(t["L"], t["tau_im"], t["skipped"]) for t in rep["transfer"]] == [
+        (11, 0.5, "SizeLimit"),
+        (11, 1.0, "SizeLimit"),
+    ]
+    assert all("<= 9" in t["reason"] for t in rep["transfer"])
