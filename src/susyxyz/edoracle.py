@@ -371,7 +371,9 @@ def ed_verify(Ls=(3, 5, 7, 9, 11), zetas=DEFAULT_ZETA_GRID, transfer=False,
     Checks, per sample: the closed-form ground energy (relative), three-way
     agreement of the inverted f, agreement with the tau-function f_n, and
     translation invariance of the per-bond correlators.  Each sample also
-    reports the relative sector gap and the eigenpair residual.
+    reports the relative sector gap and the eigenpair residual.  With
+    ``transfer``, each (tau, L) with L <= L_MAX_TRANSFER also gates the
+    eigenvalue, commutator and quasi-periodicity residuals of transfer_checks.
     """
     from .corrfn import f_zeta
 
@@ -427,6 +429,7 @@ def ed_verify(Ls=(3, 5, 7, 9, 11), zetas=DEFAULT_ZETA_GRID, transfer=False,
                 tc["ok"] = (
                     tc["max_eigenvalue_residual"] < 1e-8
                     and tc["commutator_residual"] < 1e-9
+                    and tc["quasi_periodicity_residual"] < 1e-12
                 )
                 ok = ok and tc["ok"]
                 trs.append(tc)

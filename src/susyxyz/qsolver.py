@@ -27,6 +27,7 @@ from .thetanum import (
     PI,
     ThetaContext,
     expansion_E,
+    expansion_radius,
     modular_values,
     theta,
     weierstrass_p,
@@ -111,20 +112,27 @@ class QCoefficients:
         return 2 * self.n + 1
 
 
-def q_eval(qc: QCoefficients, u: complex, order: int = 0) -> complex:
-    """q^(order)(u) by term-wise differentiation of the cosine series."""
+def q_eval(qc: QCoefficients, u, order: int = 0):
+    """q^(order)(u) by term-wise differentiation of the cosine series.
+
+    ``u`` is a scalar or an array of arguments, real or complex.  A scalar
+    gives a Python complex; an array gives a complex array of its shape, each
+    element bit-identical to the scalar call at that argument.
+    """
+    x = np.asarray(u)
     total = 0j
     for ck, (js, ws) in zip(qc.free, qc.bank):
+        arg = np.multiply.outer(x, js)
         if order == 0:
-            basis = np.cos(js * u)
+            basis = np.cos(arg)
         elif order == 1:
-            basis = -js * np.sin(js * u)
+            basis = -js * np.sin(arg)
         elif order == 2:
-            basis = -(js**2) * np.cos(js * u)
+            basis = -(js**2) * np.cos(arg)
         else:
             raise ValueError("orders 0..2 supported")
-        total += ck * np.sum(ws * basis)
-    return complex(total)
+        total = total + ck * np.add.reduce(ws * basis, axis=-1)
+    return complex(total) if x.ndim == 0 else total
 
 
 def solve_q(n: int, tau: complex, n_samples: int | None = None,
@@ -142,20 +150,18 @@ def solve_q(n: int, tau: complex, n_samples: int | None = None,
     ctx = ThetaContext(tau)
     bank = _ladder_bank(n, tau, cut=multiplier_cut)
     M = n_samples or max(4 * L, 48)
-    us = np.linspace(0.1, PI - 0.1, M)
+    args = np.add.outer(np.linspace(0.1, PI - 0.1, M), (0.0, 2 * PI / 3, -2 * PI / 3))
+    phi = np.array([[theta(1, x, ctx) ** L for x in row] for row in args])
     A = np.zeros((M, n + 1), dtype=complex)
-    for s, u in enumerate(us):
-        scale = 0.0
-        for shift in (0.0, 2 * PI / 3, -2 * PI / 3):
-            phi = theta(1, u + shift, ctx) ** L
-            for k in range(n + 1):
-                js, ws = bank[k]
-                term = phi * np.sum(ws * np.cos(js * (u + shift)))
-                A[s, k] += term
-                scale = max(scale, abs(term))
-        # normalize by the term scale, not the assembled row: rows in the
-        # null direction are near zero by construction
-        A[s] /= max(scale, 1e-300)
+    scale = np.zeros(M)
+    for k, (js, ws) in enumerate(bank):
+        terms = phi * np.add.reduce(ws * np.cos(np.multiply.outer(args, js)), axis=-1)
+        for i in range(3):
+            A[:, k] += terms[:, i]
+        scale = np.maximum(scale, np.abs(terms).max(axis=1))
+    # normalize by the term scale, not the assembled row: rows in the
+    # null direction are near zero by construction
+    A /= np.maximum(scale, 1e-300)[:, None]
     _, sing, vh = np.linalg.svd(A, full_matrices=False)
     if n == 0:
         gap = 1.0 / sing[-1] if sing[-1] > 0 else math.inf
@@ -179,12 +185,10 @@ def functional_equation_residual(qc: QCoefficients, us) -> float:
     """Max relative residual of the three-term relation at fresh points."""
     ctx = ThetaContext(qc.tau)
     L = qc.L
+    args = np.add.outer(np.asarray(us), (0.0, 2 * PI / 3, -2 * PI / 3))
     worst = 0.0
-    for u in us:
-        terms = [
-            theta(1, u + shift, ctx) ** L * q_eval(qc, u + shift)
-            for shift in (0.0, 2 * PI / 3, -2 * PI / 3)
-        ]
+    for row, qs in zip(args, q_eval(qc, args).tolist()):
+        terms = [theta(1, x, ctx) ** L * q for x, q in zip(row, qs)]
         scale = max(abs(t) for t in terms)
         if scale > 0:
             worst = max(worst, abs(sum(terms)) / scale)
@@ -217,11 +221,14 @@ def wronskian_checks(qc: QCoefficients, n_samples: int = 20) -> dict:
     c32 = ctx.scaled(1.5)
     L = qc.L
     W = _wronskian_constant(qc)
+    us = np.linspace(0.07, PI - 0.07, n_samples)
+    a, b = us - PI / 3, us - 2 * PI / 3
+    qs = q_eval(qc, np.stack([a, b, a + PI, b + PI], axis=1)).tolist()
     worst = 0.0
-    for u in np.linspace(0.07, PI - 0.07, n_samples):
+    for u, (qa, qb, qa_pi, qb_pi) in zip(us, qs):
         lhs = W * theta(1, u, ctx) ** L
-        t1 = q_eval(qc, u - PI / 3) * q_eval(qc, u - 2 * PI / 3)
-        t2 = q_eval(qc, u - PI / 3 + PI) * q_eval(qc, u - 2 * PI / 3 + PI)
+        t1 = qa * qb
+        t2 = qa_pi * qb_pi
         rhs = t1 - t2
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(t1), abs(t2)))
     # the instance giving back the Wronskian constant itself
@@ -238,16 +245,15 @@ def wronskian_checks(qc: QCoefficients, n_samples: int = 20) -> dict:
     }
 
 
-def _weight_functions(qc: QCoefficients, u: complex):
+def _weight_functions(qc: QCoefficients, u: complex, q0: complex, q1: complex,
+                      q2: complex, q_pi: complex):
     """F, F'' and the companion G entering the differential-difference
-    relation, with all derivatives analytic (no numerical differentiation)."""
+    relation, with all derivatives analytic (no numerical differentiation),
+    from q, q', q'' at u and q at u + pi."""
     n, tau, L = qc.n, qc.tau, qc.L
     ctx = ThetaContext(tau)
     c3 = ctx.scaled(3)
     c32 = ctx.scaled(1.5)
-    q0 = q_eval(qc, u)
-    q1 = q_eval(qc, u, 1)
-    q2 = q_eval(qc, u, 2)
     th = theta(1, u, ctx)
     th1 = theta(1, u, ctx, 1)
     th2 = theta(1, u, ctx, 2)
@@ -274,7 +280,7 @@ def _weight_functions(qc: QCoefficients, u: complex):
     F = N / D
     F1 = (N1 - F * D1) / D
     F2 = (N2 - 2 * F1 * D1 - F * D2) / D
-    G = theta(4, 3 * u / 2, c32) * phi * q_eval(qc, u + PI) / (T1**n * T3**2)
+    G = theta(4, 3 * u / 2, c32) * phi * q_pi / (T1**n * T3**2)
     return F, F2, G
 
 
@@ -296,9 +302,12 @@ def ddt_check(qc: QCoefficients, n_points: int = 24) -> dict:
     ]
     if len(grid) < 4:
         raise GridDegenerate("not enough grid points clear of the singular set")
+    us = np.array(grid)
+    qs = zip(*(q_eval(qc, us, order).tolist() for order in (0, 1, 2)),
+             q_eval(qc, us + PI).tolist())
     rows = []
-    for u in grid:
-        F, F2, G = _weight_functions(qc, u)
+    for u, q in zip(grid, qs):
+        F, F2, G = _weight_functions(qc, u, *q)
         V = _potential(n, tau, u)
         rows.append((F, G, F2 - V * F, abs(F2) + abs(V * F)))
 
@@ -341,8 +350,7 @@ def qfc_check(qc: QCoefficients) -> dict:
     quadratic in q, hence scale-free."""
     n, tau = qc.n, qc.tau
     ctx = ThetaContext(tau)
-    r_safe = 0.4 * min(PI / 3, PI * complex(tau).imag / 3)
-    E = expansion_E(n, ctx, r_safe)
+    E = expansion_E(n, ctx, expansion_radius(tau))
     th = theta(1, PI / 3, ctx)
     th1 = theta(1, PI / 3, ctx, 1)
     th2 = theta(1, PI / 3, ctx, 2)

@@ -298,3 +298,21 @@ def test_ed_verify_reports_transfer_size_skips():
         (11, 1.0, "SizeLimit"),
     ]
     assert all("<= 9" in t["reason"] for t in rep["transfer"])
+
+
+def test_ed_verify_gates_quasi_periodicity(monkeypatch):
+    import susyxyz.edoracle as edoracle
+
+    real = edoracle.transfer_checks
+    args = dict(Ls=(3,), zetas=(Fraction(2, 5),), transfer=True, transfer_taus=(1j,))
+    rep = ed_verify(**args)
+    assert rep["ok"] is True
+    assert rep["transfer"][0]["quasi_periodicity_residual"] < 1e-12
+
+    def broken(L, tau):
+        return {**real(L, tau), "quasi_periodicity_residual": 1e-3}
+
+    monkeypatch.setattr(edoracle, "transfer_checks", broken)
+    rep = ed_verify(**args)
+    assert rep["transfer"][0]["ok"] is False
+    assert rep["ok"] is False

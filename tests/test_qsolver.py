@@ -8,6 +8,8 @@ import pytest
 from susyxyz.corrfn import f_zeta
 from susyxyz.qsolver import (
     QCoefficients,
+    _ladder_bank,
+    _wronskian_constant,
     alternant,
     ddt_check,
     f_from_q,
@@ -17,7 +19,7 @@ from susyxyz.qsolver import (
     solve_q,
     wronskian_checks,
 )
-from susyxyz.thetanum import PI, modular_values
+from susyxyz.thetanum import PI, ThetaContext, modular_values, theta
 
 TAU = 1j
 
@@ -141,3 +143,102 @@ def test_residual_stable_under_refinement(solved):
     assert fine < 10 * max(base, 1e-15)
     deep = ddt_check(solve_q(2, TAU, multiplier_cut=1e-60))["residual"]
     assert deep < 10 * max(base, 1e-15)
+
+
+# -- bit-identity of the batched evaluations against per-point references --
+
+def _bits(a):
+    # exact IEEE bits, so that 0.0 and -0.0 differ
+    return np.asarray(a, dtype=complex).tobytes()
+
+
+def _q_eval_reference(qc, u, order=0):
+    # one argument at a time, one np.sum per basis function
+    total = 0j
+    for ck, (js, ws) in zip(qc.free, qc.bank):
+        if order == 0:
+            basis = np.cos(js * u)
+        elif order == 1:
+            basis = -js * np.sin(js * u)
+        else:
+            basis = -(js**2) * np.cos(js * u)
+        total += ck * np.sum(ws * basis)
+    return complex(total)
+
+
+def _solve_q_reference(n, tau):
+    # per sample point and shift, as solve_q assembled A row by row
+    L = 2 * n + 1
+    ctx = ThetaContext(tau)
+    bank = _ladder_bank(n, tau)
+    M = max(4 * L, 48)
+    A = np.zeros((M, n + 1), dtype=complex)
+    for s, u in enumerate(np.linspace(0.1, PI - 0.1, M)):
+        scale = 0.0
+        for shift in (0.0, 2 * PI / 3, -2 * PI / 3):
+            phi = theta(1, u + shift, ctx) ** L
+            for k in range(n + 1):
+                js, ws = bank[k]
+                term = phi * np.sum(ws * np.cos(js * (u + shift)))
+                A[s, k] += term
+                scale = max(scale, abs(term))
+        A[s] /= max(scale, 1e-300)
+    _, sing, vh = np.linalg.svd(A, full_matrices=False)
+    return np.conj(vh[-1]), sing
+
+
+def _fe_residual_reference(qc, us):
+    ctx = ThetaContext(qc.tau)
+    worst = 0.0
+    for u in us:
+        terms = [
+            theta(1, u + shift, ctx) ** qc.L * _q_eval_reference(qc, u + shift)
+            for shift in (0.0, 2 * PI / 3, -2 * PI / 3)
+        ]
+        scale = max(abs(t) for t in terms)
+        if scale > 0:
+            worst = max(worst, abs(sum(terms)) / scale)
+    return worst
+
+
+def _wronskian_residual_reference(qc, n_samples=20):
+    ctx = ThetaContext(qc.tau)
+    W = _wronskian_constant(qc)
+    worst = 0.0
+    for u in np.linspace(0.07, PI - 0.07, n_samples):
+        lhs = W * theta(1, u, ctx) ** qc.L
+        t1 = _q_eval_reference(qc, u - PI / 3) * _q_eval_reference(qc, u - 2 * PI / 3)
+        t2 = (_q_eval_reference(qc, u - PI / 3 + PI)
+              * _q_eval_reference(qc, u - 2 * PI / 3 + PI))
+        worst = max(worst, abs(lhs - (t1 - t2)) / max(abs(lhs), abs(t1), abs(t2)))
+    return worst
+
+
+BIT_CASES = [(0, 1j), (2, 1j), (3, 0.7j), (6, 0.55j)]
+
+
+@pytest.mark.parametrize("n,tau", BIT_CASES)
+def test_q_eval_array_matches_scalar_bitwise(n, tau):
+    qc = solve_q(n, tau)
+    real = np.linspace(-3.0, 6.5, 41)
+    for us in (real, real + PI * tau, real + PI * tau / 2):
+        for order in range(3):
+            got = q_eval(qc, us, order)
+            assert got.shape == us.shape
+            for u, g in zip(us, got):
+                scalar = q_eval(qc, u, order)
+                assert type(scalar) is complex
+                assert _bits(g) == _bits(scalar) == _bits(_q_eval_reference(qc, u, order))
+
+
+@pytest.mark.parametrize("n,tau", BIT_CASES)
+def test_solve_q_fe_and_wronskian_match_per_point_references(n, tau):
+    qc = solve_q(n, tau)
+    free, sing = _solve_q_reference(n, tau)
+    assert _bits(qc.free) == _bits(free)
+    assert qc.singular_values.tobytes() == sing.tobytes()
+    fresh = np.linspace(0.17, PI - 0.13, 50)
+    assert functional_equation_residual(qc, fresh) == _fe_residual_reference(qc, fresh)
+    assert functional_equation_residual(qc, list(fresh)) == _fe_residual_reference(qc, fresh)
+    got = wronskian_checks(qc)["max_relation_residual"]
+    assert got == _wronskian_residual_reference(qc)

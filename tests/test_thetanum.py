@@ -3,7 +3,9 @@ modular maps, the identity suite, and the series route to the limit curve."""
 
 import cmath
 import math
+import struct
 
+import numpy as np
 import pytest
 
 from susyxyz.thetanum import (
@@ -12,6 +14,7 @@ from susyxyz.thetanum import (
     CrossCheckFailure,
     LatticePoint,
     ThetaContext,
+    TruncationFailure,
     baxter_f_infinity,
     identity_suite,
     modular_values,
@@ -231,3 +234,41 @@ def test_zeta_of_eta_monotone_entry():
     # spot check against the eta = pi/3 bundle
     for tau in (0.5j, 1j):
         assert abs(zeta_of_eta(PI / 3, tau) - modular_values(tau).zeta) < 1e-14
+
+
+def _bits(z):
+    # the exact IEEE bits of both parts, so that 0.0 and -0.0 differ
+    z = complex(z)
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def test_theta_memo_is_bit_identical_to_the_series():
+    series = theta.__wrapped__
+    theta.cache_clear()
+    ctx = ThetaContext(0.8j)
+    # each pair compares equal and hashes alike, so the second argument is
+    # served the memo entry the first one created
+    pairs = [
+        (0.0, -0.0),
+        (complex(0.7, 0.0), complex(0.7, -0.0)),
+        (complex(-1.3, 0.0), complex(-1.3, -0.0)),
+        (complex(0.0, 0.2), complex(-0.0, 0.2)),
+        (np.float64(1.1), 1.1),
+        (np.float64(-2.4), -2.4),
+    ]
+    for first, second in pairs:
+        for j in range(1, 5):
+            for order in range(5):
+                for u in (first, second, first):
+                    got = theta(j, u, ctx, order)
+                    assert type(got) is complex
+                    assert _bits(got) == _bits(series(j, u, ctx, order))
+    assert theta.cache_info().hits > 0
+
+
+def test_theta_memo_does_not_cache_truncation_failure():
+    ctx = ThetaContext(1j, max_terms=1)
+    for _ in range(2):
+        with pytest.raises(TruncationFailure):
+            theta(1, 0.4, ctx)
+
