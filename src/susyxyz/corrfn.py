@@ -87,12 +87,12 @@ class FnRational:
 def _at_inv_zeta_sq(p: Poly) -> RatFunc:
     """p(1/zeta^2) as a rational function of zeta."""
     d = max(p.degree, 0)
-    num = [Fraction(0)] * (2 * d + 1)
-    for k, c in enumerate(p.coeffs):
+    num = [0] * (2 * d + 1)
+    for k, c in enumerate(p.ints):
         num[2 * (d - k)] = c
-    den = [Fraction(0)] * (2 * d + 1)
-    den[2 * d] = Fraction(1)
-    return ratfunc_simplify(Poly(tuple(num), "zeta"), Poly(tuple(den), "zeta"))
+    return ratfunc_simplify(
+        Poly.from_ints(num, p.den, "zeta"), Poly.from_ints([0] * (2 * d) + [1], 1, "zeta")
+    )
 
 
 _fz_cache: dict[int, RatFunc] = {}

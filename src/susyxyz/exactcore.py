@@ -2,33 +2,41 @@
 and normalized rational functions.
 
 Every symbolic computation in this package reduces to arithmetic in Q[x] or
-Q(x).  Polynomials are dense tuples of ``Fraction`` coefficients in ascending
-degree; rational functions are kept fully cancelled with a monic denominator,
+Q(x).  Rational functions are kept fully cancelled with a monic denominator,
 so equality of values is equality of representations.
 
 Scalars are ``fractions.Fraction`` (exported as ``ExactRational``): the
 stdlib type already guarantees the reduced-form invariants (coprime
 numerator/denominator, positive denominator) this package relies on.
 
-The inner loops run on integers: an operand is read as an integer
-coefficient list over one common denominator, and four kernels act on such
-lists.
+A polynomial is held in integer form: ``ints``, its integer coefficients in
+ascending degree without trailing zeros, over one denominator ``den >= 1``
+with gcd(den, *ints) == 1; the zero polynomial is ``((), 1)``.  The form is
+canonical, so equality and hashing of (ints, den, var) are equality of
+polynomials.  Every operation computes on integers and normalises its
+result once, with one gcd; no ``Fraction`` is formed per coefficient.
+``Poly.coeffs``, the reduced ``Fraction`` coefficients that printing, the
+JSON wire format and callers read, is built on first access and kept.
+Evaluation at an ``int`` or ``Fraction`` runs on the integers; at any other
+point it is Horner over ``coeffs``.
 
-- Products use Kronecker substitution: each list is packed into one big
-  integer at a digit width above the largest possible product coefficient,
-  one bigint multiply forms the whole product, and the signed digits are
-  read back.
+One packing kernel serves the product and the gcd.  A coefficient list
+packed at a width of w bytes is one big integer, its value at
+xi = 2**(8w); a big integer unpacked at that width gives back its signed
+base-xi digits.  Four kernels act on integer lists:
+
+- Products use Kronecker substitution: both lists are packed at a width
+  above the largest possible product coefficient, one bigint multiply forms
+  the whole product, and the unpack reads its coefficients.
 - Exact division is integer long division by the primitive part of the
   divisor.  By Gauss's lemma the quotient of a divisible pair is integral,
   so an inexact step proves a nonzero remainder.
 - The gcd is the heuristic GCD (GCDHEU) of Char, Geddes and Gonnet: the
-  integer gcd of the values at a large point, expanded back in that base.
-  Exact trial division of both inputs certifies the candidate.
+  integer gcd of the values at xi, expanded back in base xi.  The values
+  are packs and the expansion is an unpack.  Exact trial division of both
+  inputs certifies the candidate.
 - The primitive pseudo-remainder sequence is the fallback when the
   heuristic finds no certified candidate at any of its evaluation points.
-
-Results are converted back to reduced ``Fraction`` coefficients, so the
-canonical form and the JSON wire format do not depend on the kernels.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd
-from math import isqrt
+from math import lcm
 
 ExactRational = Fraction
 
@@ -88,45 +96,85 @@ def _coerce(x) -> Fraction:
     raise TypeError(f"cannot use {type(x).__name__} as an exact coefficient")
 
 
-@dataclass(frozen=True)
+_ZERO = Fraction(0)
+_set = object.__setattr__
+
+
 class Poly:
     """Dense univariate polynomial over Q.
 
-    ``coeffs[k]`` is the coefficient of ``var**k``.  The tuple carries no
-    trailing zeros; the zero polynomial is the empty tuple.  Instances are
+    The value is sum_k ints[k] / den * var**k, in the canonical integer form
+    of the module docstring.  ``Poly(coeffs, var)`` takes ``Fraction``,
+    ``int`` or ``str`` coefficients in ascending degree; ``coeffs[k]`` is
+    the reduced ``Fraction`` coefficient of ``var**k``, with no trailing
+    zeros (the zero polynomial has the empty tuple).  Instances are
     immutable and hashable, hence safe to share and to memoize.
     """
 
-    coeffs: tuple[Fraction, ...]
-    var: str = "z"
+    __slots__ = ("ints", "den", "var", "_coeffs")
 
-    def __post_init__(self):
-        cs = [_coerce(c) for c in self.coeffs]
-        while cs and cs[-1] == 0:
+    def __init__(self, coeffs, var: str = "z"):
+        cs = [_coerce(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        # over the lcm of reduced denominators the integers share no factor
+        # with it, so the form is canonical as built
+        den = lcm(*(c.denominator for c in cs))
+        _init(self, tuple(c.numerator * (den // c.denominator) for c in cs), den, var,
+              tuple(cs))
+
+    @staticmethod
+    def from_ints(ints, den: int = 1, var: str = "z") -> "Poly":
+        """The polynomial sum_k ints[k] / den * var**k, for den >= 1."""
+        return _canon(list(ints), den, var)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Poly:
+            return NotImplemented
+        return self.ints == other.ints and self.den == other.den and self.var == other.var
+
+    def __hash__(self):
+        return hash((self.ints, self.den, self.var))
+
+    def __repr__(self) -> str:
+        return f"Poly(coeffs={self.coeffs!r}, var={self.var!r})"
 
     # -- inspection ---------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        cs = self._coeffs
+        if cs is None:
+            d = self.den
+            cs = tuple(Fraction(c, d) if c else _ZERO for c in self.ints)
+            _set(self, "_coeffs", cs)
+        return cs
+
+    @property
     def degree(self) -> int:
         """Degree; the zero polynomial has degree -1."""
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.ints:
             raise DivisionByZeroPoly("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.ints[-1], self.den)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.ints)
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.ints:
             return "0"
         parts = []
         for k in range(len(self.coeffs) - 1, -1, -1):
@@ -150,7 +198,8 @@ class Poly:
 
     @staticmethod
     def constant(c, var: str = "z") -> "Poly":
-        return Poly((_coerce(c),), var)
+        c = _coerce(c)
+        return _new((c.numerator,), c.denominator, var) if c else _new((), 1, var)
 
     def _check_var(self, other: "Poly"):
         if self.var != other.var:
@@ -158,49 +207,55 @@ class Poly:
 
     # -- ring operations ----------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
+        """self + sign * other."""
         if isinstance(other, (int, Fraction)):
             other = Poly.constant(other, self.var)
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_var(other)
-        a, b = self.coeffs, other.coeffs
+        a, da, b, db = self.ints, self.den, other.ints, other.den
+        if da == db:
+            den = da
+        else:
+            g = _int_gcd(da, db)
+            sa, sb = db // g, da // g
+            den = da * sa
+            a = [c * sa for c in a] if sa != 1 else a
+            b = [c * sb for c in b] if sb != 1 else b
+        if sign < 0:
+            b = [-c for c in b]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(tuple(out), self.var)
+        out = [x + y for x, y in zip(a, b)]
+        out += a[len(b):]
+        return _canon(out, den, self.var)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs), self.var)
+        return _new(tuple(-c for c in self.ints), self.den, self.var)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(other, self.var)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _coerce(other)
-            if c == 0:
-                return Poly((), self.var)
-            return Poly(tuple(c * a for a in self.coeffs), self.var)
+            if not other or not self.ints:
+                return _new((), 1, self.var)
+            return _scaled(self.ints, other.numerator, self.den * other.denominator, self.var)
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_var(other)
-        if not self.coeffs or not other.coeffs:
-            return Poly((), self.var)
-        a, da = _int_parts(self)
-        b, db = _int_parts(other)
-        return _poly_from_ints(_kronecker_mul(a, b), 1, da * db, self.var)
+        if not self.ints or not other.ints:
+            return _new((), 1, self.var)
+        return _canon(_kronecker_mul(self.ints, other.ints), self.den * other.den, self.var)
 
     __rmul__ = __mul__
 
@@ -218,29 +273,92 @@ class Poly:
         return out
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0), self.var)
+        ints = self.ints
+        return _canon([k * ints[k] for k in range(1, len(ints))], self.den, self.var)
 
     def monic(self) -> "Poly":
-        if not self.coeffs:
+        if not self.ints:
             raise DivisionByZeroPoly("cannot normalize the zero polynomial")
-        lc = self.coeffs[-1]
-        if lc == 1:
+        if self.ints[-1] == self.den:
             return self
-        return Poly(tuple(c / lc for c in self.coeffs), self.var)
+        return _scaled(self.ints, 1, self.ints[-1], self.var)
 
     def evaluate(self, x):
-        """Horner evaluation; works for any value supporting + and *."""
+        """Horner evaluation; works for any value supporting + and *.
+
+        At an ``int`` or ``Fraction`` x = p/q the sum runs on integers,
+        sum_k ints[k] p^k q^(d-k), and one ``Fraction`` is formed at the
+        end.  Any other x runs Horner over the ``Fraction`` coefficients.
+        """
+        if isinstance(x, (int, Fraction)):
+            ints = self.ints
+            if not ints:
+                return Fraction(0)
+            p, q = x.numerator, x.denominator
+            acc = ints[-1]
+            qk = 1
+            for c in reversed(ints[:-1]):
+                qk *= q
+                acc = acc * p + c * qk
+            return Fraction(acc, self.den * qk)
         acc = None
         for c in reversed(self.coeffs):
             acc = c if acc is None else acc * x + c
         if acc is None:
-            return Fraction(0) if isinstance(x, (int, Fraction)) else 0 * x
+            return 0 * x
         return acc
+
+
+def _init(p: Poly, ints: tuple, den: int, var: str, coeffs=None):
+    _set(p, "ints", ints)
+    _set(p, "den", den)
+    _set(p, "var", var)
+    _set(p, "_coeffs", coeffs)
+
+
+def _new(ints: tuple, den: int, var: str) -> Poly:
+    """A Poly from an integer form that is already canonical."""
+    p = object.__new__(Poly)
+    _init(p, ints, den, var)
+    return p
+
+
+def _canon(ints: list[int], den: int, var: str) -> Poly:
+    """The polynomial sum_k ints[k] / den * var**k, den >= 1, normalised."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        return _new((), 1, var)
+    if den != 1:
+        g = _int_gcd(den, *ints)
+        if g != 1:
+            ints = [c // g for c in ints]
+            den //= g
+    return _new(tuple(ints), den, var)
+
+
+def _scaled(ints, num: int, den: int, var: str) -> Poly:
+    """The polynomial ints * num / den, normalised; ints has a nonzero last
+    entry, num and den are nonzero."""
+    if den < 0:
+        num, den = -num, -den
+    g = _int_gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
+    if den != 1:
+        g = _int_gcd(den, *ints)
+        if g != 1:
+            ints = [c // g for c in ints]
+            den //= g
+    if num != 1:
+        ints = [c * num for c in ints]
+    return _new(tuple(ints), den, var)
 
 
 def variable(var: str = "z") -> Poly:
     """The polynomial ``var`` itself."""
-    return Poly((Fraction(0), Fraction(1)), var)
+    return _new((0, 1), 1, var)
 
 
 def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
@@ -270,45 +388,21 @@ def poly_exact_div(a: Poly, b: Poly) -> Poly:
         raise DivisionByZeroPoly("polynomial division by zero")
     if a.is_zero():
         return a
-    ai, da = _int_parts(a)
-    bi, db = _int_parts(b)
-    cb = _int_gcd(*bi)
-    q = _int_exact_quotient(ai, [c // cb for c in bi])
+    cb = _int_gcd(*b.ints)
+    q = _int_exact_quotient(a.ints, [c // cb for c in b.ints])
     if q is None:
         _, r = poly_divmod(a, b)
         raise NonzeroRemainder(f"({a}) is not divisible by ({b}); remainder {r}")
-    # a/b = (ai/da) / ((cb/db) * pp(bi)) = q * db / (da * cb)
-    return _poly_from_ints(q, db, da * cb, a.var)
+    # a/b = (a.ints/a.den) / ((cb/b.den) * pp(b.ints)) = q * b.den / (a.den * cb)
+    return _scaled(q, b.den, a.den * cb, a.var)
 
 
 # -- integer kernels -----------------------------------------------------
 #
-# A polynomial over Q enters the kernels as (ints, den) with p == ints/den,
-# den the lcm of the coefficient denominators.  Integer arithmetic skips the
-# gcd that every Fraction operation spends on normalizing its result; a
-# Fraction is formed once per result coefficient.
-
-def _int_parts(p: Poly) -> tuple[list[int], int]:
-    """Integer coefficients over their common denominator: p == ints/den."""
-    den = 1
-    for c in p.coeffs:
-        if den % c.denominator:
-            den = den // _int_gcd(den, c.denominator) * c.denominator
-    if den == 1:
-        return [c.numerator for c in p.coeffs], 1
-    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
-
-
-_ZERO = Fraction(0)
-
-
-def _poly_from_ints(ints: list[int], num: int, den: int, var: str) -> Poly:
-    """The polynomial with coefficients ints[k] * num / den; zero
-    coefficients share one Fraction (polynomials in zeta^2 are half zeros)."""
-    if den == 1:
-        return Poly(tuple(Fraction(c * num) if c else _ZERO for c in ints), var)
-    return Poly(tuple(Fraction(c * num, den) if c else _ZERO for c in ints), var)
-
+# The packing kernel.  At a width of w bytes, a list whose entries lie in
+# [-2**(8w-1), 2**(8w-1)) is the big integer sum_k c_k xi**k, xi = 2**(8w):
+# biasing every entry by 2**(8w-1) makes it one unsigned byte string, and
+# subtracting the bias of all digits at once restores the signed sum.
 
 def _kronecker_offset(count: int, width: int) -> int:
     """Sum of 2**(8*width-1) * 2**(8*width*k) over k < count: the bias
@@ -316,31 +410,43 @@ def _kronecker_offset(count: int, width: int) -> int:
     return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
 
 
-def _kronecker_mul(a: list[int], b: list[int]) -> list[int]:
-    """Product of two nonzero integer coefficient lists.
-
-    Both lists are packed into one integer at a digit width of ``width``
-    bytes; every product coefficient is bounded by max|a| * max|b| *
-    min(len), which stays below half a digit, so the digits of the integer
-    product are the coefficients in signed form.
-    """
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    width = (bound.bit_length() + 8) // 8  # 2**(8*width-1) > bound
+def _pack(ints, width: int) -> int:
+    """The value at xi = 2**(8*width) of a list whose entries are below
+    2**(8*width-1) in absolute value."""
     half = 1 << (8 * width - 1)
+    raw = b"".join((c + half).to_bytes(width, "little") for c in ints)
+    return int.from_bytes(raw, "little") - _kronecker_offset(len(ints), width)
 
-    def pack(ints: list[int]) -> int:
-        raw = b"".join((c + half).to_bytes(width, "little") for c in ints)
-        return int.from_bytes(raw, "little") - _kronecker_offset(len(ints), width)
 
-    n = len(a) + len(b) - 1
-    raw = (pack(a) * pack(b) + _kronecker_offset(n, width)).to_bytes(n * width, "little")
-    return [
+def _unpack(v: int, width: int) -> list[int]:
+    """The base-2**(8*width) digits of v, each in [-2**(8*width-1),
+    2**(8*width-1)), lowest first, without trailing zeros."""
+    # |v| < xi**n / 4 keeps v + offset inside n unsigned digits
+    n = (abs(v).bit_length() + 8 * width + 1) // (8 * width)
+    half = 1 << (8 * width - 1)
+    raw = (v + _kronecker_offset(n, width)).to_bytes(n * width, "little")
+    digits = [
         int.from_bytes(raw[i : i + width], "little") - half
         for i in range(0, n * width, width)
     ]
+    while digits and not digits[-1]:
+        digits.pop()
+    return digits
 
 
-def _int_exact_quotient(a: list[int], b: list[int]) -> list[int] | None:
+def _kronecker_mul(a, b) -> list[int]:
+    """Product of two nonzero integer coefficient lists.
+
+    Every product coefficient is bounded by max|a| * max|b| * min(len),
+    which the width keeps below half a digit, so the digits of the packed
+    product are the coefficients.
+    """
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    width = bound.bit_length() // 8 + 1  # 2**(8*width-1) > bound
+    return _unpack(_pack(a, width) * _pack(b, width), width)
+
+
+def _int_exact_quotient(a, b) -> list[int] | None:
     """Quotient a/b of nonzero integer lists, b primitive; None when b does
     not divide a.
 
@@ -366,7 +472,7 @@ def _int_exact_quotient(a: list[int], b: list[int]) -> list[int] | None:
     return q
 
 
-def _int_primitive(ints: list[int]) -> list[int]:
+def _int_primitive(ints) -> list[int]:
     """A nonzero integer list divided by its content, leading coefficient
     made positive."""
     g = _int_gcd(*ints)
@@ -379,43 +485,30 @@ def _int_primitive(ints: list[int]) -> list[int]:
 # pp(h) divides both A and B, then pp(h) is gcd(A, B) (Char, Geddes and
 # Gonnet, 1989).  A spurious integer factor of the values only makes the
 # trial division fail, and then a larger xi is tried.
+#
+# Here xi = 2**(8w): A(xi) is the pack of A and the digits are the unpack
+# of the integer gcd.  Packing needs 2**(8w-1) above the larger max-norm,
+# which also gives xi >= 2 * (larger norm) + 2 >= 2 * (smaller norm) + 2.
 
 _HEU_GCD_POINTS = 6
-
-
-def _int_eval(ints: list[int], x: int) -> int:
-    acc = 0
-    for c in reversed(ints):
-        acc = acc * x + c
-    return acc
-
-
-def _symmetric_digits(h: int, xi: int) -> list[int]:
-    """Digits of h in base xi, each in (-xi/2, xi/2], lowest first."""
-    digits = []
-    while h:
-        d = h % xi
-        if d > xi // 2:
-            d -= xi
-        digits.append(d)
-        h = (h - d) // xi
-    return digits
 
 
 def _heuristic_gcd(a: list[int], b: list[int]):
     """(gcd, a/gcd, b/gcd) of primitive integer lists, or None when no
     evaluation point yields a candidate that divides both."""
-    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    width = max(max(map(abs, a)), max(map(abs, b))).bit_length() // 8 + 1
     for _ in range(_HEU_GCD_POINTS):
-        va, vb = _int_eval(a, xi), _int_eval(b, xi)
-        if va and vb:
-            g = _int_primitive(_symmetric_digits(_int_gcd(va, vb), xi))
-            qa = _int_exact_quotient(a, g)
-            if qa is not None:
-                qb = _int_exact_quotient(b, g)
-                if qb is not None:
-                    return g, qa, qb
-        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
+        # both values are nonzero: xi exceeds the Cauchy bound of the roots
+        h = _int_gcd(_pack(a, width), _pack(b, width))
+        g = _int_primitive(_unpack(h, width))
+        if len(g) == 1:  # a constant candidate divides both: the gcd is 1
+            return g, a, b
+        qa = _int_exact_quotient(a, g)
+        if qa is not None:
+            qb = _int_exact_quotient(b, g)
+            if qb is not None:
+                return g, qa, qb
+        width += width // 4 + 1
     return None
 
 
@@ -479,10 +572,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return b.monic() if not b.is_zero() else b
     if b.is_zero():
         return a.monic()
-    g, _, _ = _int_gcd_cofactors(
-        _int_primitive(_int_parts(a)[0]), _int_primitive(_int_parts(b)[0])
-    )
-    return _poly_from_ints(g, 1, g[-1], a.var)
+    g, _, _ = _int_gcd_cofactors(_int_primitive(a.ints), _int_primitive(b.ints))
+    return _scaled(g, 1, g[-1], a.var)
 
 
 @dataclass(frozen=True)
@@ -504,7 +595,7 @@ class RatFunc:
         return self.num.is_zero()
 
     def __str__(self) -> str:
-        if self.den.degree == 0 and self.den.coeffs[0] == 1:
+        if self.den.ints == (1,) and self.den.den == 1:
             return str(self.num)
         return f"({self.num})/({self.den})"
 
@@ -563,6 +654,8 @@ class RatFunc:
 
     def __rtruediv__(self, other):
         o = self._lift(other)
+        if o is NotImplemented:
+            return o
         return o / self
 
     def __pow__(self, n: int):
@@ -598,18 +691,18 @@ def ratfunc_simplify(num: Poly, den: Poly) -> RatFunc:
     if den.is_zero():
         raise DivisionByZeroPoly("rational function with zero denominator")
     if num.is_zero():
-        return RatFunc(Poly((), num.var), Poly.constant(1, num.var))
-    ni, dn = _int_parts(num)
-    di, dd = _int_parts(den)
-    cn, cd = _int_gcd(*ni), _int_gcd(*di)
-    g, nq, dq = _int_gcd_cofactors([c // cn for c in ni], [c // cd for c in di])
-    if len(g) == 1 and den.leading == 1:
+        return RatFunc(num, _new((1,), 1, num.var))
+    cn, cd = _int_gcd(*num.ints), _int_gcd(*den.ints)
+    g, nq, dq = _int_gcd_cofactors(
+        [c // cn for c in num.ints], [c // cd for c in den.ints]
+    )
+    if len(g) == 1 and den.ints[-1] == den.den:
         return RatFunc(num, den)
-    # num/den = (cn/dn) nq / ((cd/dd) dq), scaled so that dq becomes monic
+    # num/den = (cn/num.den) nq / ((cd/den.den) dq), scaled so that dq becomes monic
     lc = dq[-1]
     return RatFunc(
-        _poly_from_ints(nq, cn * dd, dn * cd * lc, num.var),
-        _poly_from_ints(dq, 1, lc, num.var),
+        _scaled(nq, cn * den.den, num.den * cd * lc, num.var),
+        _scaled(dq, 1, lc, num.var),
     )
 
 
@@ -637,12 +730,16 @@ def ratfunc_compose(f: RatFunc, g: RatFunc) -> RatFunc:
     basis = homogeneous_powers(g.num, g.den, max(f.num.degree, f.den.degree, 0))
 
     def clear(p: Poly) -> Poly:
-        # p(g) * g.den^dmax as a polynomial in y
-        out = Poly((), g.var)
-        for k, c in enumerate(p.coeffs):
-            if c != 0:
-                out = out + c * basis[k]
-        return out
+        # p(g) * g.den^dmax as a polynomial in y, over the lcm of the
+        # denominators of the basis entries it uses
+        den = lcm(*(basis[k].den for k, c in enumerate(p.ints) if c))
+        out = [0] * max(len(b.ints) for b in basis)
+        for k, c in enumerate(p.ints):
+            if c:
+                b = basis[k].ints
+                m = c * (den // basis[k].den)
+                out[: len(b)] = [x + m * y for x, y in zip(out, b)]
+        return Poly.from_ints(out, den * p.den, g.var)
 
     an = clear(f.num)
     ad = clear(f.den)

@@ -26,7 +26,7 @@ import cmath
 import functools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "TruncationFailure",
@@ -83,14 +83,20 @@ class ThetaContext:
     tau: complex
     eps: float = 1e-15
     max_terms: int = 64
+    #: q = exp(i pi tau)
+    nome: complex = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if complex(self.tau).imag <= 0:
             raise ValueError("tau must lie in the upper half-plane")
+        # theta's memo hashes its context on every call, and the Q pipeline
+        # builds a fresh context per function: both values are fixed here
+        object.__setattr__(self, "nome", cmath.exp(1j * PI * self.tau))
+        object.__setattr__(self, "_hash", hash((self.tau, self.eps, self.max_terms)))
 
-    @property
-    def nome(self) -> complex:
-        return cmath.exp(1j * PI * self.tau)
+    def __hash__(self) -> int:
+        return self._hash
 
     def scaled(self, factor) -> "ThetaContext":
         return ThetaContext(self.tau * factor, self.eps, self.max_terms)

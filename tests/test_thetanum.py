@@ -272,3 +272,21 @@ def test_theta_memo_does_not_cache_truncation_failure():
         with pytest.raises(TruncationFailure):
             theta(1, 0.4, ctx)
 
+
+
+def test_equal_contexts_share_hash_nome_and_memo():
+    for tau in (1j, 0.5j, 0.2 + 0.7j, complex(-0.31, 0.55)):
+        ctx = ThetaContext(tau)
+        assert _bits(ctx.nome) == _bits(cmath.exp(1j * PI * tau))
+        assert hash(ctx) == hash((ctx.tau, ctx.eps, ctx.max_terms))
+    a = ThetaContext(complex(0.125, 0.6125))
+    b = ThetaContext(complex("0.125+0.6125j"))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert repr(a) == "ThetaContext(tau=(0.125+0.6125j), eps=1e-15, max_terms=64)"
+    u = 0.3137 + 0.0411j
+    va = theta(2, u, a, 1)
+    hits = theta.cache_info().hits
+    vb = theta(2, u, b, 1)
+    assert theta.cache_info().hits == hits + 1
+    assert _bits(va) == _bits(vb)
+    assert a.scaled(3) == ThetaContext(a.tau * 3)
