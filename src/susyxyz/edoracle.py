@@ -13,9 +13,10 @@ measured on the sector vector.
 
 The eight-vertex transfer matrix comes from one site tensor, the R-matrix
 W[alpha, gamma, s', s].  `transfer_apply` multiplies a vector by T one site
-at a time without forming it, in O(L 2^L), for every L up to L_MAX;
-`transfer_matrix` builds the dense T site by site (L <= L_MAX_TRANSFER) for
-the checks that need the whole matrix, the commutator and quasi-periodicity.
+at a time without forming it, in O(L 2^L), for every L up to L_MAX.  The
+package never builds T densely: `transfer_checks` (L <= L_MAX_TRANSFER)
+tests the commutator, quasi-periodicity and the ground-state eigenvalue on
+vectors only.
 """
 
 from __future__ import annotations
@@ -43,14 +44,18 @@ __all__ = [
     "measure_correlations",
     "infer_f",
     "boltzmann_weights",
-    "transfer_matrix",
     "transfer_apply",
     "transfer_checks",
     "ed_verify",
 ]
 
 L_MAX = 19
-L_MAX_TRANSFER = 9
+#: above 15 the amplification ||T||/|lambda| (1.9e11 at L = 15) lets a wrong
+#: eigenvalue pass the ||T||-relative gate, so the transfer checks stop here
+L_MAX_TRANSFER = 15
+#: the |lambda|-relative eigenvalue residual is gated only up to this L; above
+#: it the amplification alone lifts the residual past its bound
+L_MAX_LAMBDA_GATE = 9
 GAP_TOL = 1e-8
 INVERSION_EXCLUSION = 1e-3
 
@@ -107,23 +112,6 @@ class SpinOperator:
             parity ^= idx >> j
         return idx[parity & 1 == 0]
 
-    def full_matrix(self) -> np.ndarray:
-        """Dense 2^L x 2^L matrix (small L only)."""
-        if self.L > 11:
-            raise SizeLimit("full dense matrix limited to L <= 11")
-        Jx, Jy, Jz = self.couplings
-        idx = np.arange(2**self.L)
-        s = 1.0 - 2.0 * ((idx[:, None] >> np.arange(self.L)) & 1)
-        dim = 2**self.L
-        H = np.zeros((dim, dim))
-        for j in range(self.L):
-            k = (j + 1) % self.L
-            H[idx, idx] += -0.5 * Jz * s[:, j] * s[:, k]
-            mask = (1 << j) | (1 << k)
-            amp = -0.5 * (Jx + Jy * np.where(s[:, j] == s[:, k], -1.0, 1.0))
-            H[idx ^ mask, idx] += amp
-        return H
-
     def sector_matrix(self, sparse: bool = True):
         """Hamiltonian restricted to the even sector, as CSR or dense.
 
@@ -171,11 +159,6 @@ class GroundState:
     sector: np.ndarray          # basis indices of that sector
     residual: float
     gap: float
-
-    def full_vector(self) -> np.ndarray:
-        psi = np.zeros(2**self.L)
-        psi[self.sector] = self.vector
-        return psi
 
 
 def _ground_state(op: SpinOperator) -> GroundState:
@@ -277,80 +260,112 @@ def _site_tensor(u: complex, eta: float, tau: complex) -> np.ndarray:
     return W
 
 
-def transfer_matrix(L: int, u: complex, eta: float, tau: complex) -> np.ndarray:
-    """Dense transfer matrix Tr_aux(R_01 ... R_0L) on the 2^L chain space.
+def _apply_stack(Ws: np.ndarray, vs) -> np.ndarray:
+    """T_b @ v_b for a stack of site tensors Ws[b] and vectors vs[b] of length
+    2^L, in one pass, where T_b = Tr_aux(R_01 ... R_0L) is built from Ws[b].
 
-    Built site by site from the one site tensor W: the auxiliary blocks
-    G[alpha, gamma] grow by one chain site per step, site 1 being the most
-    significant bit, and the last site takes the auxiliary trace directly,
-    so the four full-size blocks are never formed.
+    The carried array X[b, alpha0, s, rest, alpha] starts as
+    delta(alpha0, alpha) v_b, with s the first spin not yet visited.  Each
+    site contracts s and the auxiliary index alpha with W and appends the
+    output spin after the rest, so after L sites the spins are back in order.
+    Time and memory are O(B L 2^L); the number of numpy calls does not grow
+    with the stack size B.
     """
-    _check_length(L, L_MAX_TRANSFER)
-    W = _site_tensor(u, eta, tau)
-    G = W
-    for m in range(1, L - 1):
-        G = np.einsum("abij,bckl->acikjl", G, W).reshape(2, 2, 2 ** (m + 1), 2 ** (m + 1))
-    return np.einsum("abij,bakl->ikjl", G, W).reshape(2**L, 2**L)
+    vs = np.asarray(vs, dtype=complex)
+    B, dim = vs.shape
+    half = dim // 2
+    # [b, s, 1 (alpha0), alpha, (s', gamma)]
+    Wm = np.transpose(Ws, (0, 4, 1, 3, 2)).reshape(B, 2, 1, 2, 4)
+    X = (np.eye(2)[:, None, :] * vs[:, None, :, None]).reshape(B, 2, 2, half, 2)
+    for _ in range(dim.bit_length() - 1):
+        X = (X[:, :, 0] @ Wm[:, 0] + X[:, :, 1] @ Wm[:, 1]).reshape(B, 2, 2, half, 2)
+    X = X.reshape(B, 2, dim, 2)
+    return X[:, 0, :, 0] + X[:, 1, :, 1]
 
 
 def transfer_apply(L: int, u: complex, eta: float, tau: complex, v) -> np.ndarray:
-    """T @ v for the transfer matrix of `transfer_matrix`, without forming T.
-
-    The carried array X[alpha0, spins..., alpha] starts as
-    delta(alpha0, alpha) v; each site contracts its input spin and the
-    auxiliary index with W and appends the output spin after the spins not
-    yet visited, so after L sites the spins are back in order.  Time and
-    memory are O(L 2^L).
+    """T(u) @ v for the transfer matrix Tr_aux(R_01 ... R_0L) on the 2^L chain
+    space, site 1 being the most significant bit, without forming T: site by
+    site in O(L 2^L) time and memory.
     """
     _check_length(L)
-    W = np.transpose(_site_tensor(u, eta, tau), (0, 3, 2, 1))  # [alpha, s, s', gamma]
-    v = np.asarray(v, dtype=complex).reshape(1, 2**L, 1)
-    X = (np.eye(2)[:, None, :] * v).reshape((2,) * (L + 2))
-    for _ in range(L):
-        X = np.tensordot(X, W, axes=([1, L + 1], [1, 0]))
-    return (X[0, ..., 0] + X[1, ..., 1]).reshape(2**L)
+    v = np.asarray(v, dtype=complex).reshape(1, 2**L)
+    return _apply_stack(_site_tensor(u, eta, tau)[None], v)[0]
+
+
+def _ground_eigenvalue(L: int, u: complex, ctx: ThetaContext) -> complex:
+    """theta1(u)^L, the eigenvalue of T(u) on the ground state at eta = pi/3."""
+    return theta(1, u, ctx) ** L
+
+
+def _norm_lower_bound(apply, xs: np.ndarray) -> np.ndarray:
+    """Eight-step power-iteration estimate of the spectral norm of each map
+    in the stack `apply`, from the rows of xs: the largest ||A x|| over the
+    unit iterates x.  Each such value is a lower bound on ||A||, so a gate
+    relative to it is conservative.
+    """
+    x = xs / np.linalg.norm(xs, axis=1, keepdims=True)
+    best = np.zeros(len(xs))
+    for _ in range(8):
+        y = apply(x)
+        ny = np.linalg.norm(y, axis=1)
+        best = np.maximum(best, ny)
+        x = y / ny[:, None]
+    return best
 
 
 def transfer_checks(L: int, tau: complex, us=None) -> dict:
     """Commutation, quasi-periodicity and the ground-state eigenvalue of the
-    transfer family at the supersymmetric crossing parameter.
+    transfer family at the supersymmetric crossing parameter, matrix-free.
 
-    The eigenvalue residuals apply T to the ground state matrix-free; dense
-    matrices are built only for the commutator and quasi-periodicity.
+    Every product with T is applied site by site, as in `transfer_apply`,
+    with the products at several u stacked into one pass.  The commutator
+    and quasi-periodicity residuals act on one complex vector v seeded by L:
+    ||T1 T2 v - T2 T1 v|| / max(||T1 T2 v||, ||T2 T1 v||) and
+    ||T(u1 + pi) v - (-1)^L T(u1) v|| / ||T(u1) v||.  The eigenvalue residual
+    ||T psi - lambda psi|| on the ground state psi is reported relative to
+    |lambda| and relative to a power-iteration lower bound on ||T||; their
+    ratio, the amplification ||T||/|lambda|, grows with L.
     """
     _check_length(L, L_MAX_TRANSFER)
     eta = np.pi / 3
     mv = modular_values(tau)
     zeta = float(mv.zeta.real)
     state = ground_state_even_sector(L, zeta)
-    psi = state.full_vector()
+    psi = np.zeros(2**L)
+    psi[state.sector] = state.vector
     ctx = ThetaContext(tau)
+    rng = np.random.default_rng(L)
+    v = rng.standard_normal(2**L) + 1j * rng.standard_normal(2**L)
     if us is None:
         us = [0.31, 0.77, 1.38, 2.02, 2.64]
-    eig_residuals = []
-    for u in us:
-        lam = theta(1, u, ctx) ** L
-        eig_residuals.append(
-            float(np.linalg.norm(transfer_apply(L, u, eta, tau, psi) - lam * psi)
-                  / (abs(lam) * np.linalg.norm(psi)))
-        )
     u1, u2 = 0.52, 1.91
-    T1 = transfer_matrix(L, u1, eta, tau)
-    T2 = transfer_matrix(L, u2, eta, tau)
+    W = {u: _site_tensor(u, eta, tau) for u in (*us, u1, u2, u1 + np.pi)}
+
+    def T(at, xs):
+        """T(at[b]) @ xs[b] for every b."""
+        return _apply_stack(np.stack([W[u] for u in at]), xs)
+
+    lams = np.array([_ground_eigenvalue(L, u, ctx) for u in us])
+    misses = np.linalg.norm(T(us, np.tile(psi, (len(us), 1))) - lams[:, None] * psi, axis=1)
+    t_norms = _norm_lower_bound(lambda xs: T(us, xs), np.tile(v, (len(us), 1)))
+    eig_residuals = [float(r) for r in misses / (np.abs(lams) * np.linalg.norm(psi))]
+    norm_residuals = misses / (t_norms * np.linalg.norm(psi))
+    t1v, t2v, tsv = T((u1, u2, u1 + np.pi), np.tile(v, (3, 1)))
+    t12v, t21v = T((u1, u2), np.stack([t2v, t1v]))
     comm = float(
-        np.linalg.norm(T1 @ T2 - T2 @ T1)
-        / (np.linalg.norm(T1) * np.linalg.norm(T2))
+        np.linalg.norm(t12v - t21v)
+        / max(np.linalg.norm(t12v), np.linalg.norm(t21v))
     )
-    Tshift = transfer_matrix(L, u1 + np.pi, eta, tau)
-    qp = float(
-        np.linalg.norm(Tshift - (-1) ** L * T1) / np.linalg.norm(T1)
-    )
+    qp = float(np.linalg.norm(tsv - (-1) ** L * t1v) / np.linalg.norm(t1v))
     return {
         "L": L,
         "tau_im": float(complex(tau).imag),
         "zeta": zeta,
         "eigenvalue_residuals": eig_residuals,
         "max_eigenvalue_residual": max(eig_residuals),
+        "max_eigenvalue_residual_norm": float(norm_residuals.max()),
+        "max_amplification": float((t_norms / np.abs(lams)).max()),
         "commutator_residual": comm,
         "quasi_periodicity_residual": qp,
     }
@@ -373,7 +388,10 @@ def ed_verify(Ls=(3, 5, 7, 9, 11), zetas=DEFAULT_ZETA_GRID, transfer=False,
     translation invariance of the per-bond correlators.  Each sample also
     reports the relative sector gap and the eigenpair residual.  With
     ``transfer``, each (tau, L) with L <= L_MAX_TRANSFER also gates the
-    eigenvalue, commutator and quasi-periodicity residuals of transfer_checks.
+    residuals of transfer_checks: the eigenvalue residual relative to the
+    ||T|| estimate at every L and relative to |lambda| for
+    L <= L_MAX_LAMBDA_GATE, the commutator and quasi-periodicity.  A longer
+    chain is reported as a SizeLimit skip.
     """
     from .corrfn import f_zeta
 
@@ -427,7 +445,8 @@ def ed_verify(Ls=(3, 5, 7, 9, 11), zetas=DEFAULT_ZETA_GRID, transfer=False,
                                 "skipped": type(exc).__name__, "reason": str(exc)})
                     continue
                 tc["ok"] = (
-                    tc["max_eigenvalue_residual"] < 1e-8
+                    (L > L_MAX_LAMBDA_GATE or tc["max_eigenvalue_residual"] < 1e-8)
+                    and tc["max_eigenvalue_residual_norm"] < 1e-12
                     and tc["commutator_residual"] < 1e-9
                     and tc["quasi_periodicity_residual"] < 1e-12
                 )

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from types import SimpleNamespace
 
 from .corrfn import f_in_Z
 from .exactcore import (
@@ -98,7 +100,8 @@ def seed() -> PVIPoint:
 
 
 def _H(q, p, t, prm: PVIParams):
-    """The Painleve VI Hamiltonian polynomial; generic over RatFunc or Fraction."""
+    """The Painleve VI Hamiltonian polynomial; generic over RatFunc, Fraction
+    or int, with parameters from any object carrying a0..a4."""
     return (
         q * (q - 1) * (q - t) * p * p
         - ((prm.a0 - 1) * q * (q - 1) + prm.a3 * q * (q - t) + prm.a4 * (q - 1) * (q - t)) * p
@@ -211,25 +214,28 @@ def fpqp_residual(n: int) -> RatFunc:
 
 
 def factorization_check(ns=range(6)) -> dict:
-    """Exact grid test of the factorized form of the shifted Hamiltonian.
+    """Exact grid test of the factorized form of the shifted Hamiltonian,
+
+        H(q, p, t) + (2n+1)^2 t / 4 = (p(q-1) + n + 1/2)(p(q-t) + n + 1/2) q.
 
     Both sides are polynomials in free (q, p, t) of per-variable degree at
-    most 4, so agreement on a 5x5x5 rational grid decides the identity.
+    most 4, so agreement on a 5x5x5 integer grid decides the identity.  Both
+    sides are scaled by 4 so that the grid runs in integers:
+    4 H(q, p, t; a) = H(q, 2p, t; a') with a' = (2 a0 - 1, 2 a1, 2 a2, 2 a3,
+    2 a4), integral at the shifted parameters.
     """
-    grid = [Fraction(v) for v in range(5)]
     results = {}
     for n in ns:
         prm = _shifted_hamiltonian_params(n)
-        half = Fraction(1, 2)
-        good = True
-        for q in grid:
-            for p in grid:
-                for t in grid:
-                    lhs = _H(q, p, t, prm) + Fraction((2 * n + 1) ** 2, 4) * t
-                    rhs = (p * (q - 1) + n + half) * (p * (q - t) + n + half) * q
-                    if lhs != rhs:
-                        good = False
-        results[n] = good
+        scaled = (2 * prm.a0 - 1, 2 * prm.a1, 2 * prm.a2, 2 * prm.a3, 2 * prm.a4)
+        if any(x.denominator != 1 for x in scaled):
+            raise ValueError(f"shifted parameters at n={n} are not half-integers")
+        a = SimpleNamespace(**dict(zip(("a0", "a1", "a2", "a3", "a4"), map(int, scaled))))
+        m = 2 * n + 1  # 2 (n + 1/2)
+        results[n] = all(
+            _H(q, 2 * p, t, a) + m * m * t == (2 * p * (q - 1) + m) * (2 * p * (q - t) + m) * q
+            for q, p, t in product(range(5), repeat=3)
+        )
     return {"ok": all(results.values()), "per_n": results}
 
 

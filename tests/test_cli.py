@@ -147,14 +147,17 @@ def test_ed_verify_length_limit_is_L_MAX(capsys):
 
 
 def test_ed_verify_transfer_reports_skipped_lengths(capsys):
-    code, out = run(capsys, "ed-verify", "--L", "11", "--zeta-grid", "2/5",
+    from susyxyz.edoracle import L_MAX_TRANSFER
+
+    L = L_MAX_TRANSFER + 2
+    code, out = run(capsys, "ed-verify", "--L", str(L), "--zeta-grid", "2/5",
                     "--transfer")
     assert code == 0
     report = json.loads(out)
     assert report["ok"] is True
     assert [(t["L"], t["tau_im"], t["skipped"]) for t in report["transfer"]] == [
-        (11, 0.5, "SizeLimit"),
-        (11, 1.0, "SizeLimit"),
+        (L, 0.5, "SizeLimit"),
+        (L, 1.0, "SizeLimit"),
     ]
 
 

@@ -8,8 +8,10 @@ from scipy.sparse.linalg import eigsh
 
 from susyxyz.edoracle import (
     L_MAX,
+    L_MAX_TRANSFER,
     NearSingularInversion,
     SizeLimit,
+    _site_tensor,
     boltzmann_weights,
     build_from_couplings,
     build_hamiltonian,
@@ -19,7 +21,6 @@ from susyxyz.edoracle import (
     measure_correlations,
     transfer_apply,
     transfer_checks,
-    transfer_matrix,
 )
 from susyxyz.thetanum import ThetaContext, theta
 
@@ -29,26 +30,40 @@ def test_size_limits():
         build_hamiltonian(4, 0.0)
     with pytest.raises(SizeLimit):
         build_hamiltonian(L_MAX + 2, 0.0)
-    with pytest.raises(SizeLimit):
-        transfer_matrix(11, 0.3, np.pi / 3, 1j)
+
+
+def _full_matrix(op):
+    # reference: the dense 2^L x 2^L Hamiltonian, bond by bond
+    Jx, Jy, Jz = op.couplings
+    idx = np.arange(2**op.L)
+    s = 1.0 - 2.0 * ((idx[:, None] >> np.arange(op.L)) & 1)
+    dim = 2**op.L
+    H = np.zeros((dim, dim))
+    for j in range(op.L):
+        k = (j + 1) % op.L
+        H[idx, idx] += -0.5 * Jz * s[:, j] * s[:, k]
+        mask = (1 << j) | (1 << k)
+        amp = -0.5 * (Jx + Jy * np.where(s[:, j] == s[:, k], -1.0, 1.0))
+        H[idx ^ mask, idx] += amp
+    return H
 
 
 def test_hamiltonian_basic_structure():
     op = build_hamiltonian(3, 0.0)
-    H = op.full_matrix()
+    H = _full_matrix(op)
     assert H.shape == (8, 8)
     assert np.allclose(H, H.T)
     assert abs(np.trace(H)) < 1e-12
     # parameter degeneration zeta=1: only the XX term survives
     op1 = build_hamiltonian(5, 1.0)
     assert op1.couplings == (2.0, 0.0, 0.0)
-    assert abs(np.trace(build_hamiltonian(5, 0.5).full_matrix())) < 1e-12
+    assert abs(np.trace(_full_matrix(build_hamiltonian(5, 0.5)))) < 1e-12
 
 
 def test_commutes_with_spin_flip_and_translation():
     rng = np.random.default_rng(0)
     L = 5
-    H = build_hamiltonian(L, 0.37).full_matrix()
+    H = _full_matrix(build_hamiltonian(L, 0.37))
     idx = np.arange(2**L)
     flip = 2**L - 1 - idx  # global spin flip reverses all bits
     # translation: site j -> j+1, i.e. bit rotate
@@ -61,7 +76,7 @@ def test_commutes_with_spin_flip_and_translation():
 
 def test_sector_matrix_consistent_with_full():
     op = build_hamiltonian(5, -0.8)
-    H = op.full_matrix()
+    H = _full_matrix(op)
     sec = op.sector_indices()
     assert np.allclose(op.sector_matrix(sparse=False), H[np.ix_(sec, sec)])
     sp = op.sector_matrix(sparse=True)
@@ -83,7 +98,7 @@ def test_ground_energy_L5():
 
 def test_full_ground_space_doubly_degenerate():
     for L, z in ((3, 0.3), (5, -0.6)):
-        H = build_hamiltonian(L, z).full_matrix()
+        H = _full_matrix(build_hamiltonian(L, z))
         vals = np.linalg.eigvalsh(H)
         assert vals[1] - vals[0] < 1e-10
         assert vals[2] - vals[1] > 1e-6
@@ -92,7 +107,8 @@ def test_full_ground_space_doubly_degenerate():
 def test_ising_like_limit_ground_vector():
     # J = (0, 0, 1/2): the even-sector ground state is all spins up
     gs = _ground_from_couplings(3, 0.0, 0.0, 0.5)
-    psi = gs.full_vector()
+    psi = np.zeros(2**3)
+    psi[gs.sector] = gs.vector
     k = int(np.argmax(np.abs(psi)))
     assert k == 0  # all-up state is index 0
     assert abs(abs(psi[0]) - 1.0) < 1e-12
@@ -154,7 +170,7 @@ def test_boltzmann_weights_symmetric_point():
 
 def test_transfer_matrix_transpose_is_site_reversal():
     L = 5
-    T = transfer_matrix(L, 0.7, np.pi / 3, 1j)
+    T = _transfer_matrix(L, 0.7, np.pi / 3, 1j)
     rev = np.array(
         [sum(((b >> j) & 1) << (L - 1 - j) for j in range(L)) for b in range(2**L)]
     )
@@ -210,7 +226,7 @@ def test_sector_ground_state_matches_full_space_reference():
     L, z = 7, 0.37
     op = build_hamiltonian(L, z)
     sec = op.sector_indices()
-    vals, vecs = np.linalg.eigh(op.full_matrix()[np.ix_(sec, sec)])
+    vals, vecs = np.linalg.eigh(_full_matrix(op)[np.ix_(sec, sec)])
     gs = ground_state_even_sector(L, z)
     assert abs(gs.energy - vals[0]) < 1e-12
     assert abs(gs.gap - (vals[1] - vals[0]) / abs(vals[0])) < 1e-12
@@ -247,6 +263,17 @@ def _kron_transfer_matrix(L, u, eta, tau):
     return G[0, 0] + G[1, 1]
 
 
+def _transfer_matrix(L, u, eta, tau):
+    # reference: the dense T site by site from the one site tensor W; the
+    # auxiliary blocks G[alpha, gamma] grow by one chain site per step, site 1
+    # being the most significant bit, and the last site takes the trace
+    W = _site_tensor(u, eta, tau)
+    G = W
+    for m in range(1, L - 1):
+        G = np.einsum("abij,bckl->acikjl", G, W).reshape(2, 2, 2 ** (m + 1), 2 ** (m + 1))
+    return np.einsum("abij,bakl->ikjl", G, W).reshape(2**L, 2**L)
+
+
 TRANSFER_US = (0.31, 2.02, 0.52, 0.52 + np.pi)
 
 
@@ -255,7 +282,7 @@ TRANSFER_US = (0.31, 2.02, 0.52, 0.52 + np.pi)
 def test_transfer_matrix_matches_kron_reference(L, tau):
     for u in TRANSFER_US:
         ref = _kron_transfer_matrix(L, u, np.pi / 3, tau)
-        T = transfer_matrix(L, u, np.pi / 3, tau)
+        T = _transfer_matrix(L, u, np.pi / 3, tau)
         assert np.linalg.norm(T - ref) <= 1e-15 * np.linalg.norm(ref)
 
 
@@ -287,32 +314,118 @@ def test_transfer_checks_rejects_length_before_solving(monkeypatch):
 
     monkeypatch.setattr(edoracle, "ground_state_even_sector", solve)
     with pytest.raises(SizeLimit):
-        transfer_checks(11, 1j)
+        transfer_checks(L_MAX_TRANSFER + 2, 1j)
 
 
 def test_ed_verify_reports_transfer_size_skips():
-    rep = ed_verify(Ls=(11,), zetas=(Fraction(2, 5),), transfer=True)
+    L = L_MAX_TRANSFER + 2
+    rep = ed_verify(Ls=(L,), zetas=(Fraction(2, 5),), transfer=True)
     assert rep["ok"] is True
     assert [(t["L"], t["tau_im"], t["skipped"]) for t in rep["transfer"]] == [
-        (11, 0.5, "SizeLimit"),
-        (11, 1.0, "SizeLimit"),
+        (L, 0.5, "SizeLimit"),
+        (L, 1.0, "SizeLimit"),
     ]
-    assert all("<= 9" in t["reason"] for t in rep["transfer"])
+    assert all(f"<= {L_MAX_TRANSFER}" in t["reason"] for t in rep["transfer"])
 
 
-def test_ed_verify_gates_quasi_periodicity(monkeypatch):
+def test_ed_verify_transfer_at_L11_is_checked():
+    # the |lambda|-relative residual reads about 1.6e-8 at tau = 0.5i here,
+    # above its L <= 9 bound; the ||T||-relative gate decides instead
+    rep = ed_verify(Ls=(11,), zetas=(Fraction(2, 5),), transfer=True)
+    assert rep["ok"] is True
+    assert [(t["L"], t["tau_im"]) for t in rep["transfer"]] == [(11, 0.5), (11, 1.0)]
+    assert not any("skipped" in t for t in rep["transfer"])
+    assert all(t["ok"] and t["max_eigenvalue_residual_norm"] < 1e-12 for t in rep["transfer"])
+
+
+@pytest.mark.parametrize("key", ["quasi_periodicity_residual", "max_eigenvalue_residual_norm"])
+def test_ed_verify_gates_transfer_residuals(monkeypatch, key):
     import susyxyz.edoracle as edoracle
 
     real = edoracle.transfer_checks
     args = dict(Ls=(3,), zetas=(Fraction(2, 5),), transfer=True, transfer_taus=(1j,))
     rep = ed_verify(**args)
     assert rep["ok"] is True
-    assert rep["transfer"][0]["quasi_periodicity_residual"] < 1e-12
+    assert rep["transfer"][0][key] < 1e-12
 
     def broken(L, tau):
-        return {**real(L, tau), "quasi_periodicity_residual": 1e-3}
+        return {**real(L, tau), key: 1e-3}
 
     monkeypatch.setattr(edoracle, "transfer_checks", broken)
     rep = ed_verify(**args)
     assert rep["transfer"][0]["ok"] is False
     assert rep["ok"] is False
+
+
+def test_transfer_checks_match_dense_reference():
+    L, tau, eta = 5, 1j, np.pi / 3
+    rep = transfer_checks(L, tau)
+    rng = np.random.default_rng(L)
+    v = rng.standard_normal(2**L) + 1j * rng.standard_normal(2**L)
+    T1 = _transfer_matrix(L, 0.52, eta, tau)
+    T2 = _transfer_matrix(L, 1.91, eta, tau)
+    Tshift = _transfer_matrix(L, 0.52 + np.pi, eta, tau)
+    a, b = T1 @ (T2 @ v), T2 @ (T1 @ v)
+    comm = np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b))
+    qp = np.linalg.norm(Tshift @ v - (-1) ** L * (T1 @ v)) / np.linalg.norm(T1 @ v)
+    assert abs(rep["commutator_residual"] - comm) < 1e-15
+    assert abs(rep["quasi_periodicity_residual"] - qp) < 1e-15
+    # the power-iteration estimate of ||T(u)|| is a lower bound, and a close one
+    ctx = ThetaContext(tau)
+    amp = max(np.linalg.norm(_transfer_matrix(L, u, eta, tau), 2) / abs(theta(1, u, ctx) ** L)
+              for u in (0.31, 0.77, 1.38, 2.02, 2.64))
+    assert 0.5 * amp <= rep["max_amplification"] <= amp * (1 + 1e-12)
+
+
+def test_transfer_checks_are_deterministic():
+    first = transfer_checks(7, 1j)
+    np.random.standard_normal(16)  # the unseeded global generator must not matter
+    eigsh(build_hamiltonian(7, -0.3).sector_matrix(sparse=True), k=2, which="SA")
+    assert transfer_checks(7, 1j) == first
+
+
+def _patched_site_tensor(monkeypatch, change):
+    import susyxyz.edoracle as edoracle
+
+    real = edoracle._site_tensor
+    monkeypatch.setattr(edoracle, "_site_tensor", lambda u, eta, tau: change(u, eta, tau, real))
+
+
+def test_commutator_gate_catches_perturbed_site_tensor(monkeypatch):
+    def perturb_at_u2(u, eta, tau, real):
+        W = real(u, eta, tau)
+        if u == 1.91:
+            W = W + 1e-6 * np.random.default_rng(0).standard_normal(W.shape)
+        return W
+
+    _patched_site_tensor(monkeypatch, perturb_at_u2)
+    rep = transfer_checks(5, 1j)
+    assert rep["commutator_residual"] > 1e-9
+    assert rep["quasi_periodicity_residual"] < 1e-12
+    assert rep["max_eigenvalue_residual"] < 1e-8
+    assert rep["max_eigenvalue_residual_norm"] < 1e-12
+
+
+def test_quasi_periodicity_gate_catches_missing_sign(monkeypatch):
+    # T(u1 + pi) built as T(u1): the same residual as a check without (-1)^L
+    def drop_sign(u, eta, tau, real):
+        return real(u - np.pi if u > np.pi else u, eta, tau)
+
+    _patched_site_tensor(monkeypatch, drop_sign)
+    rep = transfer_checks(5, 1j)
+    assert rep["quasi_periodicity_residual"] > 1.0
+    assert rep["commutator_residual"] < 1e-9
+
+
+@pytest.mark.parametrize("L", [11, 13, 15])
+def test_norm_gate_catches_wrong_eigenvalue(monkeypatch, L):
+    import susyxyz.edoracle as edoracle
+
+    # u = 0.31 at tau = 0.5i has the largest ||T||/|lambda| of the defaults,
+    # 1.9e11 at L = 15, so a wrong lambda reads smallest there
+    us = (0.31,)
+    rep = transfer_checks(L, 0.5j, us=us)
+    assert rep["max_eigenvalue_residual_norm"] < 1e-12
+    monkeypatch.setattr(edoracle, "_ground_eigenvalue",
+                        lambda L, u, ctx: theta(1, u, ctx) ** (L - 1))
+    assert transfer_checks(L, 0.5j, us=us)["max_eigenvalue_residual_norm"] > 1e-12

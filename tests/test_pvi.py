@@ -83,6 +83,17 @@ def test_factorization_grid():
     assert rep["ok"] and all(rep["per_n"].values())
 
 
+def test_factorization_grid_rejects_mutated_parameters(monkeypatch):
+    import susyxyz.pvi as pvi
+
+    half = Fraction(1, 2)
+    # a0 and a3 moved by one in opposite directions: the constraint still holds
+    monkeypatch.setattr(pvi, "_shifted_hamiltonian_params",
+                        lambda n: PVIParams(3 * half - n, 0, half + n, -3 * half - n, 0))
+    rep = factorization_check(range(6))
+    assert rep["ok"] is False and not any(rep["per_n"].values())
+
+
 def test_factorization_spot_values():
     half = Fraction(1, 2)
     for n in (0, 1, 3):
