@@ -1,15 +1,21 @@
 """Brute-force oracle: periodic XYZ chains at odd length, diagonalized in the
-even spin-flip sector, with correlators, the inferred correlation quantity,
-and the commuting eight-vertex transfer matrix.
+momentum-zero sector of the even spin-flip sector, with correlators, the
+inferred correlation quantity, and the commuting eight-vertex transfer
+matrix.
 
 Couplings follow J_x = 1 + zeta, J_y = 1 - zeta, J_z = (zeta^2 - 1)/2, the
 normalization in which the ground-state energy is exactly -L (zeta^2 + 3)/4
 at every odd L.  Basis states are bit strings; bit j set means spin down at
 site j, and the even sector collects states with an even number of down
-spins.  Every ground state, at every L, comes from one Lanczos run (ARPACK)
-on the sparse even-sector matrix from a start vector seeded by L, so a
-result does not depend on what the process computed before; correlators are
-measured on the sector vector.
+spins.  H commutes with translation, so it is diagonalized on the
+translation-invariant (k = 0) combinations of even-sector states, one per
+orbit under rotation, a space of dimension about 2^(L-1)/L; the ground state
+lies there, which the energy check against the closed form certifies.
+Every ground state comes from one Lanczos run (ARPACK) on the sparse k = 0
+matrix from a start vector seeded by L, so a result does not depend on what
+the process computed before; only L = 3, whose k = 0 sector has dimension 2,
+is solved densely.  The eigenvector is scattered back onto the even sector,
+where correlators are measured bond by bond.
 
 The eight-vertex transfer matrix comes from one site tensor, the R-matrix
 W[alpha, gamma, s', s].  `transfer_apply` multiplies a vector by T one site
@@ -49,7 +55,7 @@ __all__ = [
     "ed_verify",
 ]
 
-L_MAX = 19
+L_MAX = 25
 #: above 15 the amplification ||T||/|lambda| (1.9e11 at L = 15) lets a wrong
 #: eigenvalue pass the ||T||-relative gate, so the transfer checks stop here
 L_MAX_TRANSFER = 15
@@ -86,15 +92,63 @@ def _check_length(L: int, limit: int = L_MAX):
         raise SizeLimit(f"need odd L with 3 <= L <= {limit}, got {L}")
 
 
-def _bonds(L: int, sec: np.ndarray):
-    """For each bond (j, j+1), on every sector state: s_j s_{j+1} as +-1.0,
-    and the sector position of the state with both spins flipped."""
-    pos = np.empty(2**L, dtype=np.int64)
-    pos[sec] = np.arange(len(sec))
+def _bonds(L: int, states: np.ndarray):
+    """For each bond (j, j+1), on every given even-sector state: s_j s_{j+1}
+    as +-1.0, and the sector position s >> 1 of the state s with both spins
+    flipped."""
     for j in range(L):
         k = (j + 1) % L
-        zz = 1.0 - 2.0 * (((sec >> j) ^ (sec >> k)) & 1)
-        yield zz, pos[sec ^ ((1 << j) | (1 << k))]
+        zz = 1.0 - 2.0 * (((states >> j) ^ (states >> k)) & 1)
+        yield zz, (states ^ ((1 << j) | (1 << k))) >> 1
+
+
+def _orbits(L: int, sec: np.ndarray):
+    """Translation orbits of the even sector.
+
+    The representative of an orbit is its smallest state, the minimum of a
+    state over its L rotations.  Returns, for every sector state, the index
+    of its orbit; the representatives in increasing order; and the length
+    N_r of each orbit.
+    """
+    mask = (1 << L) - 1
+    rep = sec.copy()
+    x = sec.copy()
+    for _ in range(L - 1):
+        top = x >> (L - 1)
+        x <<= 1
+        x &= mask
+        x |= top
+        np.minimum(rep, x, out=rep)
+    reps = sec[rep == sec]
+    orbit = np.searchsorted(reps, rep)
+    return orbit, reps, np.bincount(orbit)
+
+
+def _momentum_zero_matrix(L, couplings, orbit, reps, lengths) -> csr_matrix:
+    """H in the normalised orbit basis |r> = N_r^(-1/2) sum of the N_r
+    rotations of r, as CSR.
+
+    Row r holds, for each bond, the orbit r' of the flipped state with
+    amplitude -(Jx - Jy zz)/2 sqrt(N_r/N_r'), then the diagonal; that row is
+    column r of H, and H is symmetric.  Two bonds can lead to the same orbit,
+    and a hop can lead back into r's own, so a row may repeat a column; CSR
+    products and conversions sum repeated entries.
+    """
+    Jx, Jy, Jz = couplings
+    n = len(reps)
+    root = np.sqrt(lengths)
+    width = L + 1
+    cols = np.empty((n, width), dtype=orbit.dtype)
+    vals = np.zeros((n, width))
+    cols[:, L] = np.arange(n)
+    for j, (zz, partner) in enumerate(_bonds(L, reps)):
+        vals[:, L] -= 0.5 * Jz * zz
+        cols[:, j] = orbit[partner]
+        vals[:, j] = -0.5 * (Jx - Jy * zz) * root / root[cols[:, j]]
+    return csr_matrix(
+        (vals.ravel(), cols.ravel(), np.arange(0, n * width + 1, width)),
+        shape=(n, n),
+    )
 
 
 @dataclass
@@ -105,36 +159,25 @@ class SpinOperator:
     couplings: tuple[float, float, float]
 
     def sector_indices(self) -> np.ndarray:
-        """Basis indices with an even number of down spins, in increasing order."""
-        idx = np.arange(2**self.L)
-        parity = np.zeros_like(idx)
-        for j in range(self.L):
-            parity ^= idx >> j
-        return idx[parity & 1 == 0]
+        """Basis indices with an even number of down spins, in increasing
+        order: 2t + parity(t) for t < 2^(L-1), so state s sits at s >> 1."""
+        # int32 holds every state up to L_MAX and halves the memory traffic
+        # of the orbit search
+        t = np.arange(2 ** (self.L - 1), dtype=np.int32)
+        parity = t.copy()
+        for shift in (16, 8, 4, 2, 1):
+            parity ^= parity >> shift
+        return 2 * t + (parity & 1)
 
     def sector_matrix(self, sparse: bool = True):
-        """Hamiltonian restricted to the even sector, as CSR or dense.
+        """Hamiltonian restricted to the momentum-zero (k = 0) sector of the
+        even sector, as CSR or dense.
 
-        Row r holds the L flip partners of sector state r, then the diagonal;
-        the bond masks are distinct for L >= 3, so no entry repeats.
+        The basis is the normalised translation orbits of even-sector states,
+        ordered by their smallest member; the dimension is about 2^(L-1)/L.
         """
-        Jx, Jy, Jz = self.couplings
-        sec = self.sector_indices()
-        n = len(sec)
-        cols, vals = [], []
-        diag = np.zeros(n)
-        for zz, partner in _bonds(self.L, sec):
-            diag += -0.5 * Jz * zz
-            cols.append(partner)
-            vals.append(-0.5 * (Jx - Jy * zz))
-        cols.append(np.arange(n))
-        vals.append(diag)
-        width = self.L + 1
-        m = csr_matrix(
-            (np.column_stack(vals).ravel(), np.column_stack(cols).ravel(),
-             np.arange(0, n * width + 1, width)),
-            shape=(n, n),
-        )
+        orbit, reps, lengths = _orbits(self.L, self.sector_indices())
+        m = _momentum_zero_matrix(self.L, self.couplings, orbit, reps, lengths)
         return m if sparse else m.toarray()
 
 
@@ -150,31 +193,45 @@ def build_from_couplings(L: int, Jx: float, Jy: float, Jz: float) -> SpinOperato
 
 @dataclass
 class GroundState:
-    """Lowest eigenpair of the even-sector restriction."""
+    """Lowest eigenpair of the momentum-zero sector, with the eigenvector
+    scattered onto the even-sector basis."""
 
     L: int
     couplings: tuple[float, float, float]
     energy: float
     vector: np.ndarray          # coefficients on the even-sector basis
     sector: np.ndarray          # basis indices of that sector
-    residual: float
-    gap: float
+    residual: float             # ||H c - E c|| in the k = 0 sector
+    gap: float                  # relative k = 0 gap (E1 - E0) / max(|E0|, 1)
+    dim: int                    # dimension of the k = 0 sector
 
 
 def _ground_state(op: SpinOperator) -> GroundState:
+    """Two lowest eigenpairs of the k = 0 matrix, by Lanczos (ARPACK) from a
+    start vector seeded by L.  ARPACK needs k = 2 < dim; only L = 3 has a
+    k = 0 sector that small (dimension 2), and there dense `eigh` solves it.
+    The k = 0 coefficient c_r of orbit r becomes c_r / sqrt(N_r) on each of
+    its N_r even-sector states.
+    """
     sec = op.sector_indices()
-    H = op.sector_matrix(sparse=True)
-    # Without a start vector ARPACK draws one from a generator whose state
-    # persists across calls, so the result would depend on earlier calls.
-    v0 = np.random.default_rng(op.L).standard_normal(len(sec))
-    try:
-        vals, vecs = eigsh(H, k=2, which="SA", v0=v0)
-    except ArpackNoConvergence as exc:
-        raise NoConvergence(str(exc)) from exc
+    orbit, reps, lengths = _orbits(op.L, sec)
+    H = _momentum_zero_matrix(op.L, op.couplings, orbit, reps, lengths)
+    n = len(reps)
+    if n > 2:
+        # Without a start vector ARPACK draws one from a generator whose
+        # state persists across calls, so the result would depend on earlier
+        # calls.
+        v0 = np.random.default_rng(op.L).standard_normal(n)
+        try:
+            vals, vecs = eigsh(H, k=2, which="SA", v0=v0)
+        except ArpackNoConvergence as exc:
+            raise NoConvergence(str(exc)) from exc
+    else:
+        vals, vecs = np.linalg.eigh(H.toarray())
     order = np.argsort(vals)
     e0, e1 = vals[order[0]], vals[order[1]]
-    v = vecs[:, order[0]]
-    residual = float(np.linalg.norm(H @ v - e0 * v))
+    c = vecs[:, order[0]]
+    residual = float(np.linalg.norm(H @ c - e0 * c))
     scale = max(abs(e0), 1.0)
     gap = float((e1 - e0) / scale)
     if gap < GAP_TOL:
@@ -182,15 +239,18 @@ def _ground_state(op: SpinOperator) -> GroundState:
             f"sector gap {gap:.2e} below {GAP_TOL} for L={op.L}, couplings={op.couplings}"
         )
     return GroundState(
-        L=op.L, couplings=op.couplings, energy=float(e0), vector=v,
-        sector=sec, residual=residual, gap=gap,
+        L=op.L, couplings=op.couplings, energy=float(e0),
+        vector=(c / np.sqrt(lengths))[orbit], sector=sec, residual=residual,
+        gap=gap, dim=n,
     )
 
 
 def ground_state_even_sector(L: int, zeta: float) -> GroundState:
-    """Ground state of H restricted to the even sector.
+    """Ground state of H in the even sector, found in its momentum-zero
+    subsector, where the ground state lies: its energy is checked against
+    -L (zeta^2 + 3)/4 by the callers.
 
-    Lanczos for the two lowest eigenvalues of the sparse sector matrix, from
+    Lanczos for the two lowest eigenvalues of the sparse k = 0 matrix, from
     a start vector seeded by L; the result is verified by its residual and
     relative gap, never assumed.
     """
@@ -230,6 +290,7 @@ def infer_f(L: int, zeta: float) -> dict:
         "energy": state.energy,
         "gap": state.gap,
         "residual": state.residual,
+        "dim": state.dim,
     }
 
 
@@ -385,13 +446,14 @@ def ed_verify(Ls=(3, 5, 7, 9, 11), zetas=DEFAULT_ZETA_GRID, transfer=False,
 
     Checks, per sample: the closed-form ground energy (relative), three-way
     agreement of the inverted f, agreement with the tau-function f_n, and
-    translation invariance of the per-bond correlators.  Each sample also
-    reports the relative sector gap and the eigenpair residual.  With
-    ``transfer``, each (tau, L) with L <= L_MAX_TRANSFER also gates the
-    residuals of transfer_checks: the eigenvalue residual relative to the
-    ||T|| estimate at every L and relative to |lambda| for
-    L <= L_MAX_LAMBDA_GATE, the commutator and quasi-periodicity.  A longer
-    chain is reported as a SizeLimit skip.
+    translation invariance of the per-bond correlators, measured on the
+    k = 0 eigenvector scattered onto the even sector.  Each sample also
+    reports the k = 0 dimension, the relative k = 0 gap and the eigenpair
+    residual in that sector.  With ``transfer``, each (tau, L) with
+    L <= L_MAX_TRANSFER also gates the residuals of transfer_checks: the
+    eigenvalue residual relative to the ||T|| estimate at every L and
+    relative to |lambda| for L <= L_MAX_LAMBDA_GATE, the commutator and
+    quasi-periodicity.  A longer chain is reported as a SizeLimit skip.
     """
     from .corrfn import f_zeta
 
@@ -424,6 +486,7 @@ def ed_verify(Ls=(3, 5, 7, 9, 11), zetas=DEFAULT_ZETA_GRID, transfer=False,
             entry["f_inferred"] = inf["f_z"]
             entry["f_agreement"] = max(three_way, abs(inf["f_z"] - fe))
             entry["per_bond_spread"] = inf["spread"]
+            entry["dim"] = inf["dim"]
             entry["gap"] = inf["gap"]
             entry["residual"] = inf["residual"]
             entry["ok"] = (

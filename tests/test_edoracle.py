@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import eigsh
 
 from susyxyz.edoracle import (
+    DEFAULT_ZETA_GRID,
     L_MAX,
     L_MAX_TRANSFER,
     NearSingularInversion,
@@ -74,13 +76,101 @@ def test_commutes_with_spin_flip_and_translation():
         assert np.allclose((H @ v)[rot], H @ v[rot], atol=1e-10)
 
 
+def _even_states(L):
+    # reference: basis states with an even number of down spins, in order
+    idx = np.arange(2**L)
+    parity = np.array([bin(i).count("1") % 2 for i in idx])
+    return idx[parity == 0]
+
+
+def _orbit_isometry(L):
+    # reference: P[s, r] = N_r^(-1/2) for the N_r rotations s of orbit r,
+    # orbits ordered by their smallest member, found one state at a time
+    orbits = {}
+    for s in _even_states(L):
+        members, x = set(), int(s)
+        for _ in range(L):
+            members.add(x)
+            x = ((x << 1) & (2**L - 1)) | (x >> (L - 1))
+        orbits.setdefault(min(members), members)
+    P = np.zeros((2**L, len(orbits)))
+    for r, rep in enumerate(sorted(orbits)):
+        P[sorted(orbits[rep]), r] = len(orbits[rep]) ** -0.5
+    return P, sorted(len(m) for m in orbits.values())
+
+
 def test_sector_matrix_consistent_with_full():
-    op = build_hamiltonian(5, -0.8)
-    H = _full_matrix(op)
-    sec = op.sector_indices()
-    assert np.allclose(op.sector_matrix(sparse=False), H[np.ix_(sec, sec)])
-    sp = op.sector_matrix(sparse=True)
-    assert np.allclose(sp.toarray(), H[np.ix_(sec, sec)])
+    # the k = 0 matrix is P^T H P; at L = 9 the orbit of 011011011 has length
+    # 3, so both amplitude factors sqrt(N_r/N_r') and its inverse occur
+    for L in (5, 7, 9):
+        op = build_hamiltonian(L, -0.8)
+        assert np.array_equal(op.sector_indices(), _even_states(L))
+        P, lengths = _orbit_isometry(L)
+        expected = P.T @ _full_matrix(op) @ P
+        assert np.abs(op.sector_matrix(sparse=False) - expected).max() < 1e-13
+        assert np.abs(op.sector_matrix(sparse=True).toarray() - expected).max() < 1e-13
+        assert (3 in lengths) == (L == 9)
+
+
+def _even_sector_matrix(op):
+    # reference: H on the whole even sector as CSR, row by row; row r holds
+    # the L flip partners of sector state r, then the diagonal
+    Jx, Jy, Jz = op.couplings
+    L = op.L
+    sec = _even_states(L)
+    n = len(sec)
+    pos = np.empty(2**L, dtype=np.int64)
+    pos[sec] = np.arange(n)
+    cols, vals = [], []
+    diag = np.zeros(n)
+    for j in range(L):
+        k = (j + 1) % L
+        zz = 1.0 - 2.0 * (((sec >> j) ^ (sec >> k)) & 1)
+        diag += -0.5 * Jz * zz
+        cols.append(pos[sec ^ ((1 << j) | (1 << k))])
+        vals.append(-0.5 * (Jx - Jy * zz))
+    cols.append(np.arange(n))
+    vals.append(diag)
+    width = L + 1
+    return csr_matrix(
+        (np.column_stack(vals).ravel(), np.column_stack(cols).ravel(),
+         np.arange(0, n * width + 1, width)),
+        shape=(n, n),
+    ), sec
+
+
+def _reference_correlations(L, sec, vec):
+    # reference: bond-averaged (Cx, Cy, Cz) on the full 2^L vector
+    psi = np.zeros(2**L)
+    psi[sec] = vec
+    idx = np.arange(2**L)
+    s = 1.0 - 2.0 * ((idx[:, None] >> np.arange(L)) & 1)
+    c = np.zeros(3)
+    for j in range(L):
+        k = (j + 1) % L
+        flipped = psi[idx ^ ((1 << j) | (1 << k))]
+        zz = s[:, j] * s[:, k]
+        c += [np.dot(psi, flipped), -np.dot(psi, flipped * zz), np.dot(psi * psi, zz)]
+    return c / L
+
+
+@pytest.mark.parametrize("L", [3, 5, 7, 9, 11, 13, 15])
+def test_momentum_zero_ground_state_matches_even_sector_reference(L):
+    for zq in DEFAULT_ZETA_GRID:
+        z = float(zq)
+        H, sec = _even_sector_matrix(build_hamiltonian(L, z))
+        v0 = np.random.default_rng(L).standard_normal(len(sec))
+        vals, vecs = eigsh(H, k=2, which="SA", v0=v0)
+        order = np.argsort(vals)
+        e0, e1 = vals[order]
+        ref = vecs[:, order[0]]
+        gs = ground_state_even_sector(L, z)
+        assert abs(gs.energy - e0) <= 1e-12 * abs(e0)
+        assert min(np.linalg.norm(gs.vector - ref), np.linalg.norm(gs.vector + ref)) < 1e-10
+        # k = 0 is a subspace holding the ground state, so its gap is no smaller
+        assert gs.gap >= (e1 - e0) / max(abs(e0), 1.0) - 1e-12
+        triple, _, _ = measure_correlations(gs)
+        assert np.abs(np.array(triple) - _reference_correlations(L, sec, ref)).max() < 1e-12
 
 
 def test_ground_energy_L3_xxz():
@@ -211,6 +301,17 @@ def test_lanczos_path_L15_matches_exact_f7():
     assert res["gap"] > 1e-8
 
 
+def test_momentum_zero_path_L21_matches_exact_f10():
+    rep = ed_verify(Ls=(21,), zetas=(Fraction(2, 5),))
+    (sample,) = rep["samples"]
+    assert rep["ok"] is True
+    assert sample["dim"] == 49940
+    assert sample["energy_residual"] < 1e-10
+    assert sample["f_agreement"] < 1e-7
+    assert sample["per_bond_spread"] < 1e-9
+    assert sample["gap"] > 1e-8 and sample["residual"] < 1e-10 * 21
+
+
 def test_ground_state_is_deterministic():
     first = ground_state_even_sector(9, 0.4)
     # an unrelated ARPACK call without a start vector advances ARPACK's own
@@ -302,8 +403,9 @@ def test_transfer_apply_beyond_dense_limit():
     w = transfer_apply(11, 0.77, np.pi / 3, 1j, v)
     assert w.shape == (2**11,)
     assert np.all(np.isfinite(w))
+    # the length check raises before the vector is read
     with pytest.raises(SizeLimit):
-        transfer_apply(L_MAX + 2, 0.77, np.pi / 3, 1j, np.zeros(2 ** (L_MAX + 2)))
+        transfer_apply(L_MAX + 2, 0.77, np.pi / 3, 1j, np.zeros(2))
 
 
 def test_transfer_checks_rejects_length_before_solving(monkeypatch):
