@@ -38,6 +38,7 @@ __all__ = [
     "DELTA_OF_ZETA",
     "f_zeta",
     "f_in_Z",
+    "REFERENCE_F_IN_Z",
     "fn_pair",
     "correlations",
     "sum_rule_residual",
@@ -163,6 +164,21 @@ def f_in_Z(n: int) -> RatFunc:
     raise ReconstructionFailed(
         f"no rational function of Z with degrees <= {d} matches f_{n}"
     )
+
+
+#: the paper's table of f_n in the Z variable: (numerator, denominator)
+#: coefficients in ascending order, as ratfunc_to_json writes them
+REFERENCE_F_IN_Z = {
+    0: ([], ["1"]),
+    1: (["1"], ["1"]),
+    2: (["27", "1"], ["25", "1"]),
+    3: (["648", "51", "1"], ["588", "49", "1"]),
+    4: (["14520", "1807", "74", "1"], ["13068", "1701", "72", "1"]),
+    5: (
+        ["8281845", "1748643", "145744", "6012", "123", "1"],
+        ["7422987", "1615471", "137940", "5808", "121", "1"],
+    ),
+}
 
 
 def fn_pair(n: int) -> FnRational:

@@ -454,6 +454,7 @@ def ed_verify(Ls=(3, 5, 7, 9, 11), zetas=DEFAULT_ZETA_GRID, transfer=False,
     eigenvalue residual relative to the ||T|| estimate at every L and
     relative to |lambda| for L <= L_MAX_LAMBDA_GATE, the commutator and
     quasi-periodicity.  A longer chain is reported as a SizeLimit skip.
+    A report in which no (L, zeta) sample was checked is not ok.
     """
     from .corrfn import f_zeta
 
@@ -496,6 +497,7 @@ def ed_verify(Ls=(3, 5, 7, 9, 11), zetas=DEFAULT_ZETA_GRID, transfer=False,
             )
             ok = ok and entry["ok"]
             samples.append(entry)
+    ok = ok and any("ok" in entry for entry in samples)
     report = {"ok": ok, "samples": samples}
     if transfer:
         trs = []

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corrfn import f_zeta
 from .thetanum import (
     PI,
     ThetaContext,
@@ -45,10 +46,14 @@ __all__ = [
     "ddt_check",
     "qfc_check",
     "f_from_q",
+    "QSOLVE_CHECKS",
+    "qsolve_report",
 ]
 
 MULTIPLIER_CUT = 1e-30
 GAP_THRESHOLD = 1e6
+#: the optional checks of qsolve_report
+QSOLVE_CHECKS = ("ddt", "qfc", "wronskian", "fn")
 
 
 class NullspaceDegenerate(ArithmeticError):
@@ -388,3 +393,50 @@ def f_from_q(qc: QCoefficients) -> complex:
         * ratio_theta * ratio_phi * ratio_q
     )
     return first - second
+
+
+def qsolve_report(n: int, tau: complex, checks=QSOLVE_CHECKS) -> dict:
+    """Solve q at (n, tau) and check it: always the singular-value gap and
+    the functional equation at 50 fresh points, plus each check named in
+    ``checks``.  The Wronskian, ddt and qfc checks keep their own bounds;
+    the ddt beta closed form is held to 1e-7 and the bridge to the exact
+    f_n to 1e-6."""
+    qc = solve_q(n, tau)
+    report: dict = {
+        "n": n,
+        "tau_im": tau.imag,
+        "nullspace_gap": qc.nullspace_gap,
+        "fresh_point_residual": functional_equation_residual(
+            qc, np.linspace(0.17, PI - 0.13, 50)
+        ),
+    }
+    ok = qc.nullspace_gap >= GAP_THRESHOLD and report["fresh_point_residual"] < 1e-10
+    if "wronskian" in checks:
+        w = wronskian_checks(qc)
+        report["wronskian"] = {
+            "max_relation_residual": w["max_relation_residual"],
+            "third_point_instance_residual": w["third_point_instance_residual"],
+        }
+        ok = ok and w["ok"]
+    if "ddt" in checks:
+        d = ddt_check(qc)
+        report["ddt"] = {
+            "alpha": d["alpha"],
+            "beta": d["beta"],
+            "residual": d["residual"],
+            "beta_closed_residual": d["beta_closed_residual"],
+        }
+        ok = ok and d["ok"] and d["beta_closed_residual"] < 1e-7
+    if "qfc" in checks:
+        qf = qfc_check(qc)
+        report["qfc_residual"] = qf["residual"]
+        ok = ok and qf["ok"]
+    if "fn" in checks:
+        fq = f_from_q(qc)
+        fe = float(f_zeta(n).evaluate(modular_values(tau).zeta.real))
+        report["f_from_q"] = fq
+        report["f_exact"] = fe
+        report["f_bridge_residual"] = abs(fq - fe)
+        ok = ok and report["f_bridge_residual"] < 1e-6
+    report["ok"] = ok
+    return report

@@ -24,8 +24,6 @@ from .exactcore import Poly, poly_exact_div
 __all__ = [
     "TauTable",
     "default_table",
-    "tau_s",
-    "tau_sbar",
 ]
 
 _ONE = Poly((Fraction(1),), "z")
@@ -129,6 +127,25 @@ class TauTable:
             rows.append({"n": n, **checks})
         return {"ok": ok, "checks": rows}
 
+    def check(self, n_max: int) -> dict:
+        """The recursion residuals on [-n_max, n_max], the XXZ specialization
+        and the zero structure, as one report."""
+        self.ensure(-n_max - 1)
+        self.ensure(n_max + 1)
+        residuals_ok = all(
+            self.recursion_residual(n, barred).is_zero()
+            for n in range(-n_max, n_max + 1)
+            for barred in (False, True)
+        )
+        xxz = self.xxz_check(n_max)
+        zeros = self.zero_structure_check(n_max)
+        return {
+            "recursion_residuals_zero": residuals_ok,
+            "xxz_specialization": xxz,
+            "zero_structure": zeros,
+            "ok": residuals_ok and xxz["ok"] and zeros["ok"],
+        }
+
     def dump(self, n_min: int, n_max: int) -> list[dict]:
         from .exactcore import poly_to_json
 
@@ -145,14 +162,3 @@ _DEFAULT = TauTable()
 
 def default_table() -> TauTable:
     return _DEFAULT
-
-
-def tau_s(n: int) -> Poly:
-    """s_n as an exact polynomial in z (memoized in the default table)."""
-    return _DEFAULT.s(n)
-
-
-def tau_sbar(n: int) -> Poly:
-    """sbar_n as an exact polynomial in z."""
-    return _DEFAULT.sbar(n)
-

@@ -39,7 +39,6 @@ __all__ = [
     "theta_product",
     "qpochhammer",
     "weierstrass_p",
-    "weierstrass_p_lattice_sum",
     "series_taylor",
     "ModularValues",
     "modular_values",
@@ -47,7 +46,10 @@ __all__ = [
     "gamma_of_eta",
     "eta_derivative",
     "identity_suite",
+    "identity_report",
     "LEMMA_RESIDUALS",
+    "LEMMA_TOLERANCE",
+    "IDENTITY_TOLERANCE",
     "expansion_radius",
     "expansion_E",
     "baxter_f_infinity",
@@ -214,18 +216,6 @@ def weierstrass_p(u: complex, w1: complex, w2: complex, eps: float = 1e-15) -> c
     return (PI / w1) ** 2 * ((t1p / t1) ** 2 - t1pp / t1 + c)
 
 
-def weierstrass_p_lattice_sum(u: complex, w1: complex, w2: complex, cutoff: int = 40) -> complex:
-    """Direct truncated lattice sum; slowly convergent, used as an oracle."""
-    out = 1.0 / (u * u)
-    for m in range(-cutoff, cutoff + 1):
-        for n in range(-cutoff, cutoff + 1):
-            if m == 0 and n == 0:
-                continue
-            w = m * w1 + n * w2
-            out += 1.0 / ((u - w) * (u - w)) - 1.0 / (w * w)
-    return out
-
-
 # -- Taylor coefficients by contour sampling ----------------------------
 
 @functools.cache
@@ -356,13 +346,16 @@ def _rand_u(rng: random.Random, tau: complex) -> complex:
 #: identity_suite entries built from chains of theta evaluations
 #: (finite-difference eta derivatives, contour Taylor coefficients, removable
 #: 0/0 limits raised to powers, couplings at generic eta), whose round-off
-#: exceeds that of one identity: they are held to 1e-10, the rest to 1e-11.
+#: exceeds that of one identity: they are held to LEMMA_TOLERANCE, the rest
+#: to IDENTITY_TOLERANCE unless a report asks for another bound.
 LEMMA_RESIDUALS = frozenset({
     "coupling_combination_product",
     "eta_derivative_determinant",
     "taylor_combination",
     "prefactor_chain",
 })
+LEMMA_TOLERANCE = 1e-10
+IDENTITY_TOLERANCE = 1e-11
 
 
 def identity_suite(tau: complex, seed: int = 0, samples: int = 20) -> dict:
@@ -493,6 +486,22 @@ def identity_suite(tau: complex, seed: int = 0, samples: int = 20) -> dict:
     return res
 
 
+def identity_report(tau: complex, seed: int = 0, tolerance: float = IDENTITY_TOLERANCE) -> dict:
+    """The identity suite at one nome, each residual held to its bound:
+    LEMMA_TOLERANCE for the LEMMA_RESIDUALS entries, ``tolerance`` for the
+    others."""
+    res = identity_suite(tau, seed=seed)
+    return {
+        "tau_im": complex(tau).imag,
+        "seed": seed,
+        "residuals": dict(sorted(res.items())),
+        "ok": all(
+            value < (LEMMA_TOLERANCE if name in LEMMA_RESIDUALS else tolerance)
+            for name, value in res.items()
+        ),
+    }
+
+
 def expansion_radius(tau: complex) -> float:
     """Contour radius for expansion_E at nome tau, 0.4 min(pi/3, pi Im(tau)/3):
     the circle stays clear of the integrand's poles at pi/3 and pi tau/2.
@@ -586,12 +595,13 @@ def _energy_series_terms(eta: complex, tau: complex, max_terms: int = 400,
     raise SeriesDivergence("energy series did not converge")
 
 
-def baxter_f_infinity(tau: complex) -> dict:
+def baxter_f_infinity(tau: complex, tolerance: float = 1e-9) -> dict:
     """Infinite-lattice limit of f_n from the energy series, compared with
     the closed form in zeta.
 
-    Returns {"series": ..., "closed": ..., "diff": ...}; the two routes are
-    fully independent apart from the shared theta evaluations.
+    Returns {"series": ..., "closed": ..., "diff": ..., "ok": diff <
+    tolerance}; the two routes are fully independent apart from the shared
+    theta evaluations.
     """
     tau = complex(tau)
     if abs(tau.real) > 1e-12 or tau.imag <= 0:
@@ -622,9 +632,11 @@ def baxter_f_infinity(tau: complex) -> dict:
     f_series = eps_val * two_eps_plus_gamma / (zeta0 * zeta_eta - Gamma_eta)
     zr = zeta0.real
     closed = -(zr**2 + 3) * (zr**2 - 6 * zr - 3) / (8 * (zr + 1) ** 2)
+    diff = abs(f_series - closed)
     return {
         "series": f_series.real,
         "closed": closed,
-        "diff": abs(f_series - closed),
+        "diff": diff,
         "zeta": zr,
+        "ok": diff < tolerance,
     }

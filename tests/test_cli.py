@@ -1,9 +1,13 @@
 """Command-line surface: wire formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import susyxyz
 from susyxyz.cli import main
 
 
@@ -169,6 +173,82 @@ def test_failed_assertion_exits_1(capsys):
     assert json.loads(out)["ok"] is False
 
 
+@pytest.mark.parametrize("grid", ["1,-1", ""])
+def test_ed_verify_without_a_checked_sample_exits_1(capsys, grid):
+    code, out = run(capsys, "ed-verify", "--L", "3", f"--zeta-grid={grid}")
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["ok"] is False
+    assert all("skipped" in s for s in rep["samples"])
+
+
+def _python(script: str) -> subprocess.CompletedProcess:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(susyxyz.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_cli_runs_its_exact_commands_without_numpy():
+    loaded = _python(
+        "import sys, susyxyz.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))\n"
+    )
+    assert loaded.returncode == 0, loaded.stderr
+    assert loaded.stdout.strip() == "[]"
+
+    commands = [
+        ["tau", "--check", "--n-max", "3"],
+        ["fn", "--n", "3", "--variable", "Z"],
+        ["corr", "--n", "2", "--zeta", "1/3"],
+        ["pvi-verify", "--n-max", "1"],
+        ["theta-suite"],
+        ["finf", "--tau", "1.5"],
+        ["plot-data", "--n", "1", "--zeta-range=0:1:2"],
+    ]
+    blocked = _python(
+        "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
+        "from susyxyz.cli import main\n"
+        "codes = []\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(main(argv))\n"
+        "print(json.dumps(codes))\n"
+    )
+    assert blocked.returncode == 0, blocked.stderr
+    assert json.loads(blocked.stdout) == [0] * len(commands)
+
+
+SECTIONS = ("tau", "fn_table", "ed_verify", "pvi_verify", "theta_suite", "f_infinity",
+            "qsolve")
+
+
+@pytest.mark.parametrize("key", SECTIONS)
+def test_verify_all_reports_a_failed_section(capsys, monkeypatch, key):
+    from susyxyz import corrfn, edoracle, pvi, qsolver, taurec, thetanum
+
+    if key == "fn_table":
+        monkeypatch.setitem(corrfn.REFERENCE_F_IN_Z, 2, (["28", "1"], ["25", "1"]))
+    else:
+        owner, name = {
+            "tau": (taurec.TauTable, "check"),
+            "ed_verify": (edoracle, "ed_verify"),
+            "pvi_verify": (pvi, "pvi_verify"),
+            "theta_suite": (thetanum, "identity_report"),
+            "f_infinity": (thetanum, "baxter_f_infinity"),
+            "qsolve": (qsolver, "qsolve_report"),
+        }[key]
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **k: {**real(*a, **k), "ok": False})
+    code, out = run(capsys, "verify-all", "--quick")
+    assert code == 1
+    rep = json.loads(out)
+    assert rep[key] is False and rep["ok"] is False
+    assert all(rep[other] is True for other in SECTIONS if other != key)
+
+
 def test_deterministic_output(capsys):
     _, out1 = run(capsys, "theta-suite", "--tau", "1.0", "--seed", "7")
     _, out2 = run(capsys, "theta-suite", "--tau", "1.0", "--seed", "7")
@@ -180,6 +260,5 @@ def test_verify_all_quick(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["ok"] is True
-    for key in ("tau", "fn_table", "ed_verify", "pvi_verify", "theta_suite",
-                "f_infinity", "qsolve"):
+    for key in SECTIONS:
         assert rep[key] is True

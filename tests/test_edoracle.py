@@ -430,6 +430,13 @@ def test_ed_verify_reports_transfer_size_skips():
     assert all(f"<= {L_MAX_TRANSFER}" in t["reason"] for t in rep["transfer"])
 
 
+def test_ed_verify_without_a_checked_sample_is_not_ok():
+    rep = ed_verify(Ls=(3,), zetas=(Fraction(1), Fraction(-1)))
+    assert [s["skipped"] for s in rep["samples"]] == ["NearSingularInversion"] * 2
+    assert rep["ok"] is False
+    assert ed_verify(Ls=(3,), zetas=())["ok"] is False
+
+
 def test_ed_verify_transfer_at_L11_is_checked():
     # the |lambda|-relative residual reads about 1.6e-8 at tau = 0.5i here,
     # above its L <= 9 bound; the ||T||-relative gate decides instead

@@ -332,7 +332,7 @@ def test_exact_div_low_only_remainder():
 
 def test_prs_fallback_reproduces_results(monkeypatch):
     from susyxyz import corrfn, exactcore, pvi
-    from susyxyz.cli import REFERENCE_FN_Z
+    from susyxyz.corrfn import REFERENCE_F_IN_Z
 
     fallbacks = []
     prs_gcd = exactcore._prs_gcd
@@ -346,7 +346,7 @@ def test_prs_fallback_reproduces_results(monkeypatch):
     monkeypatch.setattr(corrfn, "_fz_cache", {})
     monkeypatch.setattr(corrfn, "_fZ_cache", {})
     monkeypatch.setattr(pvi, "_orbit", [])
-    for n, (num, den) in REFERENCE_FN_Z.items():
+    for n, (num, den) in REFERENCE_F_IN_Z.items():
         got = ratfunc_to_json(corrfn.f_in_Z(n))
         assert (got["num"], got["den"]) == (num, den)
     for n in range(4):
