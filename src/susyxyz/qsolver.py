@@ -8,6 +8,10 @@ L coefficients, which evenness cuts down to n+1 free ones.  The functional
 equation sampled on a real grid then yields a homogeneous linear system
 whose null space is one-dimensional; the solution is the smallest singular
 vector, and the singular-value gap quantifies that one-dimensionality.
+Each (tau, n) cell is solved in double; a cell whose cancellation factor
+puts the functional-equation check within two decades of its bound is
+redone in extended precision (the kernel at the end of this module), and
+``QCoefficients.route`` and ``cancellation`` record which.
 
 All verification quantities built here (Wronskian relation, the
 differential-difference relation between q(u) and q(u + pi), its Taylor
@@ -18,19 +22,20 @@ solution vector, so no normalization is ever imposed.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corrfn import f_zeta
 from .thetanum import (
     PI,
-    ThetaContext,
     expansion_E,
-    expansion_radius,
     modular_values,
     theta,
+    theta_context,
     weierstrass_p,
 )
 
@@ -52,12 +57,22 @@ __all__ = [
 
 MULTIPLIER_CUT = 1e-30
 GAP_THRESHOLD = 1e6
+#: bound on the functional-equation residual at fresh points
+FE_BOUND = 1e-10
+#: the fresh points of qsolve_report's functional-equation check
+FRESH_POINTS = np.linspace(0.17, PI - 0.13, 50)
+UNIT_ROUNDOFF = 2.0**-53
 #: the optional checks of qsolve_report
 QSOLVE_CHECKS = ("ddt", "qfc", "wronskian", "fn")
+_SHIFTS = (0.0, 2 * PI / 3, -2 * PI / 3)
 
 
 class NullspaceDegenerate(ArithmeticError):
     """Constraint matrix does not isolate a one-dimensional null space."""
+
+    def __init__(self, message: str, gap: float):
+        super().__init__(message)
+        self.gap = gap
 
 
 class GridDegenerate(ArithmeticError):
@@ -111,6 +126,11 @@ class QCoefficients:
     nullspace_gap: float
     singular_values: np.ndarray
     bank: list
+    #: "double", or "extended" when the cell was redone in extended precision
+    route: str
+    #: the cancellation factor of q on the functional-equation check's grid
+    cancellation: float
+    extended: _ExtendedQ | None = field(default=None, repr=False)
 
     @property
     def L(self) -> int:
@@ -122,8 +142,14 @@ def q_eval(qc: QCoefficients, u, order: int = 0):
 
     ``u`` is a scalar or an array of arguments, real or complex.  A scalar
     gives a Python complex; an array gives a complex array of its shape, each
-    element bit-identical to the scalar call at that argument.
+    element bit-identical to the scalar call at that argument.  On the
+    extended route the series is summed exactly from the extended
+    coefficients and rounded once per value.
     """
+    if order not in (0, 1, 2):
+        raise ValueError("orders 0..2 supported")
+    if qc.extended is not None:
+        return qc.extended.q_eval(u, order)
     x = np.asarray(u)
     total = 0j
     for ck, (js, ws) in zip(qc.free, qc.bank):
@@ -132,12 +158,32 @@ def q_eval(qc: QCoefficients, u, order: int = 0):
             basis = np.cos(arg)
         elif order == 1:
             basis = -js * np.sin(arg)
-        elif order == 2:
-            basis = -(js**2) * np.cos(arg)
         else:
-            raise ValueError("orders 0..2 supported")
+            basis = -(js**2) * np.cos(arg)
         total = total + ck * np.add.reduce(ws * basis, axis=-1)
     return complex(total) if x.ndim == 0 else total
+
+
+def _theta1_rows(ctx, args: np.ndarray) -> np.ndarray:
+    """theta1 at every point of ``args``, one series over all of them, kept
+    per nome and grid: the solve grids and the fresh points are the same
+    for every n."""
+    return _theta1_cached(ctx, args.shape, args.tobytes())
+
+
+# working set 2 (q-sweep child: the solve grid and the fresh points)
+@functools.lru_cache(maxsize=8)
+def _theta1_cached(ctx, shape: tuple, raw: bytes) -> np.ndarray:
+    args = np.frombuffer(raw).reshape(shape)
+    return np.array(theta(1, args.ravel().tolist(), ctx)).reshape(shape)
+
+
+def _basis(bank, args) -> np.ndarray:
+    """g_k at every argument, stacked on a last axis over k."""
+    return np.stack(
+        [np.add.reduce(ws * np.cos(np.multiply.outer(args, js)), axis=-1) for js, ws in bank],
+        axis=-1,
+    )
 
 
 def solve_q(n: int, tau: complex, n_samples: int | None = None,
@@ -150,13 +196,25 @@ def solve_q(n: int, tau: complex, n_samples: int | None = None,
     two smallest singular values certifies numerical one-dimensionality
     (for the single-column n = 0 case the gap is 1/sigma against the unit
     row scale).
+
+    The cell then measures the cancellation factor of q on the
+    functional-equation check's grid (``_cancellation``).  When
+    UNIT_ROUNDOFF times that factor, the estimated error of the check,
+    comes within two decades of FE_BOUND and tau is pure imaginary, the
+    solution is refined and every later value of q computed in extended
+    precision (``route`` "extended"); otherwise it stays in double.  The
+    functional equation's factor stands in for every check: the qfc and
+    ddt_beta residuals of double cells do not follow q's cancellation
+    (their largest, 1.8e-9 against the 1e-7 bound over sixteen q-sweep
+    seeds, is about 60 times what qfc's own left-side cancellation
+    predicts), so no factor of theirs is measured.
     """
     L = 2 * n + 1
-    ctx = ThetaContext(tau)
+    ctx = theta_context(tau)
     bank = _ladder_bank(n, tau, cut=multiplier_cut)
     M = n_samples or max(4 * L, 48)
-    args = np.add.outer(np.linspace(0.1, PI - 0.1, M), (0.0, 2 * PI / 3, -2 * PI / 3))
-    phi = np.array([[theta(1, x, ctx) ** L for x in row] for row in args])
+    args = np.add.outer(np.linspace(0.1, PI - 0.1, M), _SHIFTS)
+    phi = np.array([x**L for x in _theta1_rows(ctx, args).ravel().tolist()]).reshape(args.shape)
     A = np.zeros((M, n + 1), dtype=complex)
     scale = np.zeros(M)
     for k, (js, ws) in enumerate(bank):
@@ -174,26 +232,47 @@ def solve_q(n: int, tau: complex, n_samples: int | None = None,
         gap = sing[-2] / sing[-1] if sing[-1] > 0 else math.inf
     if gap < GAP_THRESHOLD:
         raise NullspaceDegenerate(
-            f"singular-value gap {gap:.2e} below {GAP_THRESHOLD:.0e} for n={n}, tau={tau}"
+            f"singular-value gap {gap:.2e} below {GAP_THRESHOLD:.0e} for n={n}, tau={tau}",
+            float(gap),
         )
     free = np.conj(vh[-1])
+    qc = QCoefficients(n=n, tau=tau, free=free, base=_base(free, n, tau), nullspace_gap=float(gap),
+                       singular_values=sing, bank=bank, route="double",
+                       cancellation=_cancellation(free, bank))
+    if UNIT_ROUNDOFF * qc.cancellation >= 1e-2 * FE_BOUND and complex(tau).real == 0:
+        return _extend(qc)
+    return qc
+
+
+def _base(free, n: int, tau: complex) -> np.ndarray:
+    """c_0 .. c_{L-1} from the free coefficients by the evenness relation."""
+    L = 2 * n + 1
     p = cmath.exp(1j * PI * tau)
     base = np.zeros(L, dtype=complex)
     base[: n + 1] = free
     for k in range(1, n + 1):
         base[L - k] = p ** (L / 2 - k) * free[k]
-    return QCoefficients(n=n, tau=tau, free=free, base=base,
-                         nullspace_gap=float(gap), singular_values=sing, bank=bank)
+    return base
+
+
+def _cancellation(free, bank) -> float:
+    """The cancellation factor of q on the functional-equation check's grid
+    (FRESH_POINTS and its shifts by +-2 pi/3): the largest ratio of
+    sum_k |c_k g_k(u)| to |q(u)|, by which round-off in the cosine sum is
+    magnified in q."""
+    terms = free * _basis(bank, np.add.outer(FRESH_POINTS, _SHIFTS))
+    q = np.maximum(np.abs(terms.sum(axis=-1)), 1e-300)
+    return float((np.abs(terms).sum(axis=-1) / q).max())
 
 
 def functional_equation_residual(qc: QCoefficients, us) -> float:
     """Max relative residual of the three-term relation at fresh points."""
-    ctx = ThetaContext(qc.tau)
+    ctx = theta_context(qc.tau)
     L = qc.L
-    args = np.add.outer(np.asarray(us), (0.0, 2 * PI / 3, -2 * PI / 3))
+    args = np.add.outer(np.asarray(us, dtype=float), _SHIFTS)
     worst = 0.0
-    for row, qs in zip(args, q_eval(qc, args).tolist()):
-        terms = [theta(1, x, ctx) ** L * q for x, q in zip(row, qs)]
+    for th, qs in zip(_theta1_rows(ctx, args).tolist(), q_eval(qc, args).tolist()):
+        terms = [x**L * q for x, q in zip(th, qs)]
         scale = max(abs(t) for t in terms)
         if scale > 0:
             worst = max(worst, abs(sum(terms)) / scale)
@@ -202,17 +281,16 @@ def functional_equation_residual(qc: QCoefficients, us) -> float:
 
 def alternant(qc: QCoefficients, u: complex, v: complex) -> complex:
     """Phi(u, v): the antisymmetric combination of q at shifted arguments."""
-    c32 = ThetaContext(qc.tau).scaled(1.5)
+    c32 = theta_context(qc.tau).scaled(1.5)
+    qu, qv_pi, qu_pi, qv = q_eval(qc, np.array([u, v + PI, u + PI, v])).tolist()
     return (
-        theta(3, 3 * u / 2, c32) * theta(4, 3 * v / 2, c32)
-        * q_eval(qc, u) * q_eval(qc, v + PI)
-        - theta(4, 3 * u / 2, c32) * theta(3, 3 * v / 2, c32)
-        * q_eval(qc, u + PI) * q_eval(qc, v)
+        theta(3, 3 * u / 2, c32) * theta(4, 3 * v / 2, c32) * qu * qv_pi
+        - theta(4, 3 * u / 2, c32) * theta(3, 3 * v / 2, c32) * qu_pi * qv
     )
 
 
 def _wronskian_constant(qc: QCoefficients) -> complex:
-    ctx = ThetaContext(qc.tau)
+    ctx = theta_context(qc.tau)
     c32 = ctx.scaled(1.5)
     phi_third = theta(1, PI / 3, ctx) ** qc.L
     return -theta(2, 0.0, c32) * alternant(qc, PI, PI / 3) / (
@@ -222,7 +300,7 @@ def _wronskian_constant(qc: QCoefficients) -> complex:
 
 def wronskian_checks(qc: QCoefficients, n_samples: int = 20) -> dict:
     """The quadratic Wronskian relation at sample points, all scale-free."""
-    ctx = ThetaContext(qc.tau)
+    ctx = theta_context(qc.tau)
     c32 = ctx.scaled(1.5)
     L = qc.L
     W = _wronskian_constant(qc)
@@ -250,30 +328,58 @@ def wronskian_checks(qc: QCoefficients, n_samples: int = 20) -> dict:
     }
 
 
-def _weight_functions(qc: QCoefficients, u: complex, q0: complex, q1: complex,
-                      q2: complex, q_pi: complex):
-    """F, F'' and the companion G entering the differential-difference
-    relation, with all derivatives analytic (no numerical differentiation),
-    from q, q', q'' at u and q at u + pi."""
+# working set 1 (q-sweep child: one nome at a time)
+@functools.lru_cache(maxsize=4)
+def _ddt_grid(tau: complex, n_points: int) -> tuple:
+    """ddt_check's grid, clear of the singular set, and the n-independent
+    values on it, once per nome: theta1 and two derivatives at u, theta1
+    and two derivatives at 3u and nome 3 tau, theta3 and two derivatives
+    and theta4 at 3u/2 and nome 3 tau / 2, and the two Weierstrass P terms
+    of the potential."""
+    singular = (0.0, PI / 3, 2 * PI / 3, PI)
+    grid = [
+        u for u in np.linspace(0.12, PI - 0.12, n_points).tolist()
+        if min(abs(u - s) for s in singular) > 0.1
+    ]
+    if len(grid) < 4:
+        raise GridDegenerate("not enough grid points clear of the singular set")
+    ctx = theta_context(tau)
+    c3, c32 = ctx.scaled(3), ctx.scaled(1.5)
+    u3 = [3 * u for u in grid]
+    u32 = [3 * u / 2 for u in grid]
+    values = {
+        "th": theta(1, grid, ctx), "th1": theta(1, grid, ctx, 1), "th2": theta(1, grid, ctx, 2),
+        "T1": theta(1, u3, c3), "T1p": theta(1, u3, c3, 1), "T1pp": theta(1, u3, c3, 2),
+        "T3": theta(3, u32, c32), "T3p": theta(3, u32, c32, 1), "T3pp": theta(3, u32, c32, 2),
+        "T4": theta(4, u32, c32),
+        "P1": [weierstrass_p(u, PI / 3, PI * tau) for u in grid],
+        "P2": [weierstrass_p(u + PI + PI * tau / 2, 2 * PI / 3, PI * tau) for u in grid],
+    }
+    return np.array(grid), {k: np.array(v) for k, v in values.items()}
+
+
+def ddt_check(qc: QCoefficients, n_points: int = 24) -> dict:
+    """Fit (alpha, beta) in the relation (d^2/du^2 - V - alpha) F = beta G
+    from two grid points and report the residual on the rest, plus the
+    closed form of beta.
+
+    F = theta1^L q / (theta1(3u|3tau)^n theta3(3u/2|3tau/2)) with F''
+    analytic (no numerical differentiation), and
+    G = theta4(3u/2|3tau/2) theta1^L q(u + pi) / (theta1(3u|3tau)^n
+    theta3(3u/2|3tau/2)^2), all on the whole grid at once."""
     n, tau, L = qc.n, qc.tau, qc.L
-    ctx = ThetaContext(tau)
-    c3 = ctx.scaled(3)
-    c32 = ctx.scaled(1.5)
-    th = theta(1, u, ctx)
-    th1 = theta(1, u, ctx, 1)
-    th2 = theta(1, u, ctx, 2)
+    us, v = _ddt_grid(tau, n_points)
+    q0, q1, q2 = (q_eval(qc, us, order) for order in (0, 1, 2))
+    q_pi = q_eval(qc, us + PI)
+    th, th1, th2 = v["th"], v["th1"], v["th2"]
     phi = th**L
     phi1 = L * th ** (L - 1) * th1
     phi2 = L * (L - 1) * th ** (L - 2) * th1**2 + L * th ** (L - 1) * th2
     N = phi * q0
     N1 = phi1 * q0 + phi * q1
     N2 = phi2 * q0 + 2 * phi1 * q1 + phi * q2
-    T1 = theta(1, 3 * u, c3)
-    T1p = 3 * theta(1, 3 * u, c3, 1)
-    T1pp = 9 * theta(1, 3 * u, c3, 2)
-    T3 = theta(3, 3 * u / 2, c32)
-    T3p = 1.5 * theta(3, 3 * u / 2, c32, 1)
-    T3pp = 2.25 * theta(3, 3 * u / 2, c32, 2)
+    T1, T1p, T1pp = v["T1"], 3 * v["T1p"], 9 * v["T1pp"]
+    T3, T3p, T3pp = v["T3"], 1.5 * v["T3p"], 2.25 * v["T3pp"]
     D = T1**n * T3
     D1 = n * T1 ** (n - 1) * T1p * T3 + T1**n * T3p
     D2 = (
@@ -285,36 +391,10 @@ def _weight_functions(qc: QCoefficients, u: complex, q0: complex, q1: complex,
     F = N / D
     F1 = (N1 - F * D1) / D
     F2 = (N2 - 2 * F1 * D1 - F * D2) / D
-    G = theta(4, 3 * u / 2, c32) * phi * q_pi / (T1**n * T3**2)
-    return F, F2, G
-
-
-def _potential(n: int, tau: complex, u: complex) -> complex:
-    return n * (n + 1) * weierstrass_p(u, PI / 3, PI * tau) + 2 * weierstrass_p(
-        u + PI + PI * tau / 2, 2 * PI / 3, PI * tau
-    )
-
-
-def ddt_check(qc: QCoefficients, n_points: int = 24) -> dict:
-    """Fit (alpha, beta) in the relation (d^2/du^2 - V - alpha) F = beta G
-    from two grid points and report the residual on the rest, plus the
-    closed form of beta."""
-    n, tau = qc.n, qc.tau
-    singular = (0.0, PI / 3, 2 * PI / 3, PI)
-    grid = [
-        u for u in np.linspace(0.12, PI - 0.12, n_points)
-        if min(abs(u - s) for s in singular) > 0.1
-    ]
-    if len(grid) < 4:
-        raise GridDegenerate("not enough grid points clear of the singular set")
-    us = np.array(grid)
-    qs = zip(*(q_eval(qc, us, order).tolist() for order in (0, 1, 2)),
-             q_eval(qc, us + PI).tolist())
-    rows = []
-    for u, q in zip(grid, qs):
-        F, F2, G = _weight_functions(qc, u, *q)
-        V = _potential(n, tau, u)
-        rows.append((F, G, F2 - V * F, abs(F2) + abs(V * F)))
+    G = v["T4"] * phi * q_pi / (T1**n * T3**2)
+    V = n * (n + 1) * v["P1"] + 2 * v["P2"]
+    rows = list(zip(F.tolist(), G.tolist(), (F2 - V * F).tolist(),
+                    (np.abs(F2) + np.abs(V * F)).tolist()))
 
     def fit(i, j):
         (F1, G1, L1, _), (F2_, G2, L2, _) = rows[i], rows[j]
@@ -335,7 +415,7 @@ def ddt_check(qc: QCoefficients, n_points: int = 24) -> dict:
         abs(alpha - alpha2) / max(abs(alpha), 1e-300),
         abs(beta - beta2) / max(abs(beta), 1e-300),
     )
-    c32 = ThetaContext(tau).scaled(1.5)
+    c32 = theta_context(tau).scaled(1.5)
     beta_closed = (
         -3j * theta(3, 0.0, c32) * theta(4, 0.0, c32)
         * q_eval(qc, PI + PI * tau / 2, 1) / q_eval(qc, PI * tau / 2)
@@ -352,10 +432,14 @@ def ddt_check(qc: QCoefficients, n_points: int = 24) -> dict:
 
 def qfc_check(qc: QCoefficients) -> dict:
     """Taylor corollary of the differential-difference relation; both sides
-    quadratic in q, hence scale-free."""
+    quadratic in q, hence scale-free.  On the extended route both sides are
+    evaluated wholly in extended precision: the left side is a small
+    remainder of its terms, so in double its residual measures round-off."""
+    if qc.extended is not None:
+        return qc.extended.qfc()
     n, tau = qc.n, qc.tau
-    ctx = ThetaContext(tau)
-    E = expansion_E(n, ctx, expansion_radius(tau))
+    ctx = theta_context(tau)
+    E = expansion_E(n, ctx)
     th = theta(1, PI / 3, ctx)
     th1 = theta(1, PI / 3, ctx, 1)
     th2 = theta(1, PI / 3, ctx, 2)
@@ -383,7 +467,7 @@ def f_from_q(qc: QCoefficients) -> complex:
     n, tau = qc.n, qc.tau
     mv = modular_values(tau)
     g = mv.gamma
-    c32 = ThetaContext(tau).scaled(1.5)
+    c32 = theta_context(tau).scaled(1.5)
     ratio_theta = theta(1, 0.0, c32, 1) / theta(2, 0.0, c32)
     ratio_phi = alternant(qc, 0.0, PI / 3) / alternant(qc, PI, PI / 3)
     ratio_q = q_eval(qc, PI + PI * tau / 2, 1) / q_eval(qc, PI * tau / 2)
@@ -397,20 +481,25 @@ def f_from_q(qc: QCoefficients) -> complex:
 
 def qsolve_report(n: int, tau: complex, checks=QSOLVE_CHECKS) -> dict:
     """Solve q at (n, tau) and check it: always the singular-value gap and
-    the functional equation at 50 fresh points, plus each check named in
+    the functional equation at FRESH_POINTS, plus each check named in
     ``checks``.  The Wronskian, ddt and qfc checks keep their own bounds;
     the ddt beta closed form is held to 1e-7 and the bridge to the exact
-    f_n to 1e-6."""
-    qc = solve_q(n, tau)
+    f_n to 1e-6.  A null space the solve cannot isolate gives a report with
+    ``ok`` false and the gap next to GAP_THRESHOLD."""
+    try:
+        qc = solve_q(n, tau)
+    except NullspaceDegenerate as exc:
+        return {"n": n, "tau_im": tau.imag, "nullspace_gap": exc.gap,
+                "gap_threshold": GAP_THRESHOLD, "ok": False}
     report: dict = {
         "n": n,
         "tau_im": tau.imag,
         "nullspace_gap": qc.nullspace_gap,
-        "fresh_point_residual": functional_equation_residual(
-            qc, np.linspace(0.17, PI - 0.13, 50)
-        ),
+        "route": qc.route,
+        "cancellation": qc.cancellation,
+        "fresh_point_residual": functional_equation_residual(qc, FRESH_POINTS),
     }
-    ok = qc.nullspace_gap >= GAP_THRESHOLD and report["fresh_point_residual"] < 1e-10
+    ok = qc.nullspace_gap >= GAP_THRESHOLD and report["fresh_point_residual"] < FE_BOUND
     if "wronskian" in checks:
         w = wronskian_checks(qc)
         report["wronskian"] = {
@@ -440,3 +529,494 @@ def qsolve_report(n: int, tau: complex, checks=QSOLVE_CHECKS) -> dict:
         ok = ok and report["f_bridge_residual"] < 1e-6
     report["ok"] = ok
     return report
+
+
+# -- the extended-precision kernel ------------------------------------------
+#
+# solve_q routes a cell here (its ``extended`` is an _ExtendedQ) when its
+# cancellation factor puts the double checks at risk.  A routed cell has
+# tau = i t, so the nome p = exp(-pi t) is real and so is every weight of
+# the ladder bank: the solution is a real vector times one phase.  The
+# kernel works in fixed point, an int X standing for X 2^-b at a stated
+# number b of fractional bits.  The n-independent pieces (theta values and
+# powers of the nome per nome, cos/sin tables per grid of points) are built
+# once per precision, and each cell uses those at its own; the sums
+# over frequencies run exactly, in Python ints for small point sets and as
+# slice products for large ones: both operands split into 16-bit limbs, so
+# every float64 partial sum of limb products is an exact integer (Ozaki,
+# Ogita, Oishi and Rump, error-free transformation of matrix
+# multiplication, 2012) and the limbs are carried back into one int.
+# Values of q leave the kernel rounded once to double; qfc's two sides are
+# formed wholly in fixed point.
+
+_LIMB = 16
+#: samples of [0.1, pi - 0.1] the extended null vector is refined on, each
+#: shifted by 0 and +-2 pi/3 exactly
+_REFINE_ROWS = 24
+
+
+def _fixed(x: float, bits: int) -> int:
+    """The double x at ``bits`` fractional bits, exactly when it has no more."""
+    num, den = float(x).as_integer_ratio()
+    return (num << bits) // den
+
+
+# working set 2 (q-sweep child: the tables' and the nomes' precision)
+@functools.lru_cache(maxsize=4)
+def _pi_fixed(bits: int) -> int:
+    """pi by Machin's formula, pi = 16 acot 5 - 4 acot 239."""
+    g = bits + 16
+
+    def acot(x):
+        term = total = (1 << g) // x
+        k = 1
+        while term:
+            term //= x * x
+            total += (-1) ** k * (term // (2 * k + 1))
+            k += 1
+        return total
+
+    return (16 * acot(5) - 4 * acot(239)) >> 16
+
+
+def _exp_fixed(a: int, bits: int) -> int:
+    """e^x for x = a 2^-bits >= 0: 2^-s x by its Taylor series, squared s times."""
+    s = max(0, a.bit_length() - bits + 8)
+    g = bits + s + 16
+    r = a << 16                      # x 2^-s at g bits
+    total = term = 1 << g
+    k = 1
+    while term:
+        term = (term * r >> g) // k
+        total += term
+        k += 1
+    for _ in range(s):
+        total = total * total >> g
+    return total >> (s + 16)
+
+
+def _cos_sin_fixed(a: int, bits: int) -> tuple[int, int]:
+    """cos x and sin x for x = a 2^-bits, by halving and double angles."""
+    s = max(0, abs(a).bit_length() - bits + 8)
+    g = bits + s + 16
+    r = abs(a) << 16                 # |x| 2^-s at g bits
+    r2 = r * r >> g
+    c = sn = 0
+    ct, st, k, sign = 1 << g, r, 0, 1
+    while ct or st:
+        c += sign * ct
+        sn += sign * st
+        ct = (ct * r2 >> g) // ((2 * k + 1) * (2 * k + 2))
+        st = (st * r2 >> g) // ((2 * k + 2) * (2 * k + 3))
+        k += 1
+        sign = -sign
+    for _ in range(s):
+        c, sn = (c * c - sn * sn) >> g, (2 * c * sn) >> g
+    return c >> (s + 16), (sn if a >= 0 else -sn) >> (s + 16)
+
+
+def _trig_point(a: int, b: int, bits: int, F: int) -> tuple:
+    """For x = (a + i b) 2^-(bits+32) and f < F, at ``bits`` bits:
+    cos(f Re x) cosh(f Im x), sin(f Re x) sinh(f Im x), sin(f Re x) cosh(f Im x)
+    and cos(f Re x) sinh(f Im x), so that cos(f x) = A - iB and
+    sin(f x) = C + iD.  The last two lists are None for a real x."""
+    g = bits + 32
+    c1, s1 = _cos_sin_fixed(a, g)
+    cs, ss = [1 << g], [0]
+    for _ in range(1, F):
+        c, s = cs[-1], ss[-1]
+        cs.append((c * c1 - s * s1) >> g)
+        ss.append((s * c1 + c * s1) >> g)
+    if b == 0:
+        return [c >> 32 for c in cs], None, [s >> 32 for s in ss], None
+    e1 = _exp_fixed(abs(b), g)
+    em1 = (1 << 2 * g) // e1
+    up, dn = [1 << g], [1 << g]
+    for _ in range(1, F):
+        up.append(up[-1] * e1 >> g)
+        dn.append(dn[-1] * em1 >> g)
+    ch = [(u + d) >> 1 for u, d in zip(up, dn)]
+    sh = [(u - d) >> 1 if b > 0 else (d - u) >> 1 for u, d in zip(up, dn)]
+    sh_g = 2 * g - bits
+    return ([c * h >> sh_g for c, h in zip(cs, ch)], [s * h >> sh_g for s, h in zip(ss, sh)],
+            [s * h >> sh_g for s, h in zip(ss, ch)], [c * h >> sh_g for c, h in zip(cs, sh)])
+
+
+def _operand(ys: list) -> np.ndarray:
+    """Signed ints y_f as the (F, T) float64 limb matrix of _exact_dots:
+    16-bit limbs, least significant first, the top one signed."""
+    T = (max(abs(y) for y in ys).bit_length() + _LIMB + 1) // _LIMB
+    bias = 1 << (_LIMB * T - 1)
+    buf = b"".join((y + bias).to_bytes(2 * T, "little") for y in ys)
+    limbs = np.frombuffer(buf, dtype="<u2").reshape(len(ys), T).astype(np.float64)
+    limbs[:, -1] -= 2.0 ** (_LIMB - 1)
+    return limbs
+
+
+def _exact_dots(table: np.ndarray, operand: np.ndarray) -> list:
+    """sum_f X[p, f] Y[f] exactly, for every point p of the (points, F,
+    limbs) table X and the (F, limbs) operand Y, limbs least significant
+    first with a signed top limb: each product of limbs is below 2^32 and
+    each column sum of them below 2^53, so the float64 products are exact
+    (Ozaki et al., 2012); the limb columns are then carried back into one
+    int per point."""
+    npts, _, S = table.shape
+    F, T = operand.shape
+    ncol = S + T - 1
+    Di = np.zeros((ncol, npts), dtype=np.int64)
+    for s in range(S):
+        X = table[:, :F, s].astype(np.float64)
+        if s == S - 1:
+            X -= 2.0 ** (_LIMB - 1)
+        Di[s:s + T] += (X @ operand).T.astype(np.int64)
+    for d in range(ncol - 1):
+        Di[d + 1] += Di[d] >> _LIMB
+        Di[d] &= (1 << _LIMB) - 1
+    width = 2 * (ncol - 1)
+    low = np.ascontiguousarray(Di[:-1].T).astype("<u2").tobytes()
+    shift = _LIMB * (ncol - 1)
+    return [(top << shift) + int.from_bytes(low[i * width:(i + 1) * width], "little")
+            for i, top in enumerate(Di[-1].tolist())]
+
+
+class _TrigTable:
+    """The four _trig_point lists at a set of points (``A``, ``B``, ``C``,
+    ``D``; ``B`` and ``D`` vanish at real points), each built on first use.
+
+    A sum over the table is exact either way; which way is faster depends on
+    its size.  Summed in Python ints it costs about 0.2 us per product of a
+    point and a frequency; as 16-bit limb tables through _exact_dots it
+    costs about 170 us per call and 1 us per point.  Timed at 128 bits
+    (2-vCPU Xeon, best of 7) on the point sets the Q checks use, the ints
+    win at 1, 4 and 20 points and the limbs at 72, 80 and 150, with the
+    break-even at 24 to 64 points for 48 to 16 frequencies: near 1024
+    products, the bound below."""
+
+    #: tables of at most this many point-frequency products are summed in
+    #: Python ints, larger ones as limb tables
+    INT_PRODUCTS = 1024
+
+    def __init__(self, points: list, bits: int, F: int):
+        self.points, self.bits, self.F = points, bits, F
+        self.real = all(b == 0 for _, b in points)
+        self.small = len(points) * F <= self.INT_PRODUCTS
+        self.rows = None
+        self.kinds: dict = {}
+
+    def _build(self, kind: str):
+        i = "ABCD".index(kind)
+        bits, F = self.bits, self.F
+        if self.small:
+            if self.rows is None:
+                self.rows = [_trig_point(a, b, bits, F) for a, b in self.points]
+            return [row[i] for row in self.rows]
+        # |cos|, |sin| <= 1 and |cosh|, |sinh| <= e^(F |Im x|) bound the limb
+        # count in advance, so each point's ints go straight into limb bytes
+        growth = max(abs(b) for _, b in self.points) * F * 1.4427 / (1 << (bits + 32))
+        S = (bits + math.ceil(growth) + _LIMB + 1) // _LIMB
+        bias = 1 << (_LIMB * S - 1)
+        buf = bytearray()
+        for a, b in self.points:
+            buf += b"".join((x + bias).to_bytes(2 * S, "little")
+                            for x in _trig_point(a, b, bits, F)[i])
+        return np.frombuffer(buf, dtype="<u2").reshape(len(self.points), F, S)
+
+    def dots(self, kind: str, operand: tuple) -> list:
+        """sum_f table[p, f] y[f] exactly for every point p; ``operand`` is
+        (the ints y, their limb matrix)."""
+        if kind not in self.kinds:
+            self.kinds[kind] = self._build(kind)
+        ys, limbs = operand
+        if self.small:
+            return [sum(map(operator.mul, row, ys)) for row in self.kinds[kind]]
+        return _exact_dots(self.kinds[kind], limbs)
+
+
+# working set 24 (q-sweep child: the fixed real grids, kept across nomes,
+# and about ten point sets per nome; at 12 entries a child rebuilds 280
+# tables instead of 156, 0.15 s more)
+@functools.lru_cache(maxsize=24)
+def _trig_table(key, bits: int, F: int) -> _TrigTable:
+    """The _TrigTable of a point set at ``bits`` bits and F frequencies:
+    ``key`` is "refine" for the refinement grid, else the dtype and bytes
+    of a flat array of doubles, real or complex.  The fixed real grids
+    (the solve, functional-equation, Wronskian and ddt points) are the
+    same for every nome, so their tables are built once per process."""
+    if key == "refine":
+        g = bits + 32
+        third = 2 * _pi_fixed(g) // 3
+        points = [(_fixed(u, g) + shift, 0)
+                  for u in np.linspace(0.1, PI - 0.1, _REFINE_ROWS).tolist()
+                  for shift in (0, third, -third)]
+    else:
+        x = np.frombuffer(key[1], dtype=key[0]).astype(complex)
+        points = [(_fixed(z.real, bits + 32), _fixed(z.imag, bits + 32)) for z in x.tolist()]
+    return _TrigTable(points, bits, F)
+
+
+def _table(key, bits: int, F: int) -> _TrigTable:
+    """_trig_table with F rounded up to a multiple of 16, so that the cells
+    of one nome share their tables: the values at f < F do not depend on
+    the table's length."""
+    return _trig_table(key, bits, -(-F // 16) * 16)
+
+
+class _Nome:
+    """The n-independent extended values at tau = i t, at ``w`` bits: powers
+    of h = p^(1/2), theta1 on the refinement grid (at ``bits`` bits), and
+    the theta values of qfc (theta1 and two derivatives at pi/3; the six
+    values of E; theta3 and theta4 at 0 at nome p^(3/2))."""
+
+    def __init__(self, t: float, bits: int, w: int):
+        self.t, self.bits, self.w = t, bits, w
+        num, den = t.as_integer_ratio()
+        self.pi_t = _pi_fixed(w + 8) * num // den >> 8          # pi t at w bits
+        self.h_up = (1 << 2 * w) // _exp_fixed(self.pi_t >> 1, w)  # h = e^(-pi t / 2)
+        self.powers = [1 << w]
+        # theta1 = 2 sum_k (-1)^k p^((k+1/2)^2) sin((2k+1) u) at nomes p and p^3
+        self.odd1 = self._series(lambda k: (2 * k + 1) ** 2, 4)
+        self.odd3 = self._series(lambda k: 3 * (2 * k + 1) ** 2, 4)
+        # theta3/theta4 at nome p^c: 1 + 2 sum_k (+-1)^k p^(c k^2), k >= 1
+        self.even3 = self._series(lambda k: 3 * (k + 1) ** 2, 1)
+        self.even32 = self._series(lambda k: 3 * (k + 1) ** 2, 2)
+        w2 = 1 << w
+        m = [2 * k + 1 for k in range(len(self.odd1))]
+        sgn = [(-1) ** k for k in range(len(self.odd1))]
+        s6 = (0, 1, 1, 0, -1, -1)
+        c6 = (2, 1, -1, -2, -1, 1)
+        root3 = math.isqrt(3 << 2 * w)
+        # theta1, theta1', theta1'' at pi/3 (sin(m pi/3) = s6 sqrt3/2, cos = c6/2)
+        th = root3 * sum(g * a * s6[mm % 6] for g, a, mm in zip(sgn, self.odd1, m)) >> w
+        th1 = sum(g * a * mm * c6[mm % 6] for g, a, mm in zip(sgn, self.odd1, m))
+        th2 = -root3 * sum(g * a * mm * mm * s6[mm % 6] for g, a, mm in zip(sgn, self.odd1, m)) >> w
+        self.a1 = (th1 << w) // th                     # theta1'/theta1 at pi/3
+        self.a2 = (th2 << w) // th                     # theta1''/theta1 at pi/3
+        self.root3 = root3
+        d1 = sum(g * a * mm for g, a, mm in zip(sgn, self.odd1, m))
+        d3 = -sum(g * a * mm**3 for g, a, mm in zip(sgn, self.odd1, m))
+        m3 = [2 * k + 1 for k in range(len(self.odd3))]
+        e1 = sum((-1) ** k * a * mm for k, (a, mm) in enumerate(zip(self.odd3, m3)))
+        e3 = -sum((-1) ** k * a * mm**3 for k, (a, mm) in enumerate(zip(self.odd3, m3)))
+        t4 = w2 + 2 * sum((-1) ** (k + 1) * b for k, b in enumerate(self.even3))
+        t4pp = -2 * sum((-1) ** (k + 1) * (2 * k + 2) ** 2 * b for k, b in enumerate(self.even3))
+        # E = (2n+3) r1 / 6 - 3 n r3 - 4.5 r4 with the three ratios below
+        self.r1 = (d3 << w) // d1
+        self.r3 = (e3 << w) // e1
+        self.r4 = (t4pp << w) // t4
+        self.T3 = w2 + 2 * sum(self.even32)
+        self.T4 = w2 + 2 * sum((-1) ** (k + 1) * b for k, b in enumerate(self.even32))
+        # theta1 on the refinement grid, at ``bits`` bits
+        coef = [0] * (2 * len(self.odd1))
+        for k, a in enumerate(self.odd1):
+            coef[2 * k + 1] = 2 * (-1) ** k * a
+        table = _table("refine", bits, len(coef))
+        self.refine_theta = [v >> w for v in table.dots("C", (coef, _operand(coef)))]
+
+    def _series(self, exponent, den: int) -> list:
+        """exp(-pi t exponent(k) / den) at w bits for k = 0, 1, ... while
+        above 2^-w."""
+        out = []
+        k = 0
+        while True:
+            y = self.pi_t * exponent(k) // den
+            if y >> self.w > self.w:      # e^-y < 2^-w
+                return out
+            out.append((1 << 2 * self.w) // _exp_fixed(y, self.w))
+            k += 1
+
+    def h_power(self, N: int) -> int:
+        """h^N = exp(-pi t N / 2) at w bits, for any integer N."""
+        if N < 0:
+            return _exp_fixed(self.pi_t * -N >> 1, self.w)
+        while len(self.powers) <= N:
+            self.powers.append(self.powers[-1] * self.h_up >> self.w)
+        return self.powers[N]
+
+
+# working set 1 (q-sweep child: its n loop runs inside the nome loop)
+_nome = functools.lru_cache(maxsize=4)(_Nome)
+
+
+def _precision_bits(qc: QCoefficients) -> int:
+    """Fractional bits of a routed cell, in whole 64-bit words: the 53 a
+    correctly rounded q needs, plus those its cancellation factor takes,
+    plus those the condition of the reduced null-space system takes.  The
+    cell's tables and nome values are built at exactly these bits, so a
+    cell gives the same bits whatever ran before it in the process; the
+    80 to 112 bits q-sweep's cells need all come to 128."""
+    sing = qc.singular_values
+    cond = sing[0] / sing[-2] if len(sing) > 1 else 1.0
+    need = 53 + math.log2(max(qc.cancellation, 1.0)) + math.log2(cond)
+    return 64 * math.ceil(need / 64)
+
+
+class _ExtendedQ:
+    """The extended kernel of one routed cell: the refined real coefficient
+    vector at ``bits`` bits and one double phase, q's values from it, and
+    qfc's two sides."""
+
+    def __init__(self, qc: QCoefficients, bits: int):
+        n, L = qc.n, qc.L
+        self.n, self.L, self.bits = n, L, bits
+        # guard bits below the cell's precision keep the smallest weight of
+        # the bank to ``bits`` bits relative
+        cut = min(abs(w) for _, ws in qc.bank for w in ws)
+        self.nome = _nome(float(complex(qc.tau).imag), bits,
+                          bits + max(128, math.ceil(-math.log2(cut)) + 16))
+        self.w = self.nome.w
+        # the bank's frequencies with their k, exponent 2e of h and factor
+        self.freqs = []
+        for k, (js, _) in enumerate(qc.bank):
+            for f in js.tolist():
+                if (f - k) % L == 0:
+                    m = (f - k) // L
+                    two_e = 2 * m * k + L * m * m
+                else:
+                    m = (f + k) // L
+                    two_e = -2 * m * k + L * m * m
+                self.freqs.append((f, k, two_e, 1 if f == 0 else 2))
+        self.F = max(f for f, *_ in self.freqs) + 1
+        pivot = int(np.argmax(np.abs(qc.free)))
+        self.phase = complex(qc.free[pivot])
+        v0 = (qc.free / self.phase).real
+        self.V = [_fixed(v, bits) for v in v0.tolist()]
+        self.V[pivot] = 1 << bits
+        self._refine(qc, pivot)
+        self._operands: dict = {}
+
+    def coefficients(self) -> np.ndarray:
+        """The refined coefficients c_0 .. c_n, rounded to double."""
+        return self.phase * np.array([v / (1 << self.bits) for v in self.V])
+
+    def _y(self) -> list:
+        """Per frequency f < F, c_k(f) times its weight, at w bits."""
+        y = [0] * self.F
+        for f, k, two_e, fac in self.freqs:
+            y[f] = fac * self.V[k] * self.nome.h_power(two_e) >> self.bits
+        return y
+
+    def _refine(self, qc: QCoefficients, pivot: int):
+        """Iterative refinement of the null vector: the residual of the
+        functional equation on the refinement grid is summed exactly from
+        the extended values, the correction solved in double, until the
+        correction reaches the floor the precision and the condition of the
+        solve allow or stops shrinking."""
+        n, L, bits = self.n, self.L, self.bits
+        if n == 0:
+            return
+        th = self.nome.refine_theta
+        phi = []
+        for x in th:
+            acc, base, e = 1 << bits, x, L
+            while e:
+                if e & 1:
+                    acc = acc * base >> bits
+                base = base * base >> bits
+                e >>= 1
+            phi.append(acc)
+        scale = 1 << bits
+        phi_d = np.array([x / scale for x in phi]).reshape(_REFINE_ROWS, 3)
+        table = _table("refine", bits, self.F)
+        args = np.add.outer(np.linspace(0.1, PI - 0.1, _REFINE_ROWS), _SHIFTS)
+        G = _basis([(js, ws.real) for js, ws in qc.bank], args)
+        A = (phi_d[:, :, None] * G).sum(axis=1)
+        weight = 1.0 / np.abs(A).max(axis=1)
+        others = [k for k in range(n + 1) if k != pivot]
+        # the least-squares solve through the complex SVD solve_q already uses
+        u, sv, vh = np.linalg.svd((A[:, others] * weight[:, None]).astype(complex),
+                                  full_matrices=False)
+        solve = ((vh.conj().T / sv) @ u.conj().T).real
+        floor = 2.0 ** (math.log2(qc.singular_values[0] / qc.singular_values[-2]) + 8 - bits)
+        to_float = 1 << 3 * bits
+        size = math.inf
+        for _ in range(12):
+            y = [v >> (self.w - bits) for v in self._y()]
+            q = table.dots("A", (y, _operand(y)))
+            rows = [sum(phi[3 * i + s] * q[3 * i + s] for s in range(3)) / to_float
+                    for i in range(_REFINE_ROWS)]
+            delta = -solve @ (np.array(rows) * weight)
+            for k, d in zip(others, delta.tolist()):
+                self.V[k] += int(math.ldexp(d, bits))
+            last, size = size, float(np.abs(delta).max())
+            if size <= floor or size >= last:
+                break
+
+    def _operand_for(self, order: int, real: bool) -> tuple:
+        """(operand, its fractional bits) of q^(order): at ``bits`` bits for
+        real points, and at ``w`` for complex ones, where cosh and sinh
+        magnify the smallest weights."""
+        if (order, real) not in self._operands:
+            y = self._y()
+            if order:
+                y = [-(f**order) * v for f, v in enumerate(y)]
+            if real:
+                y = [v >> (self.w - self.bits) for v in y]
+            self._operands[order, real] = (y, _operand(y)), self.bits if real else self.w
+        return self._operands[order, real]
+
+    def q_eval(self, u, order: int):
+        """q_eval on this route: each value the exact sum over the table of
+        its point, rounded once."""
+        x = np.asarray(u)
+        flat = x.ravel()
+        table = _table((flat.dtype.str, flat.tobytes()), self.bits, self.F)
+        op, op_bits = self._operand_for(order, table.real)
+        scale = 1 << (self.bits + op_bits)
+        re_kind, im_kind, im_sign = {0: ("A", "B", -1), 1: ("C", "D", 1), 2: ("A", "B", -1)}[order]
+        re = [v / scale for v in table.dots(re_kind, op)]
+        if table.real:
+            vals = self.phase * np.array(re, dtype=complex)
+        else:
+            im = [im_sign * v / scale for v in table.dots(im_kind, op)]
+            vals = self.phase * (np.array(re) + 1j * np.array(im))
+        return complex(vals[0]) if x.ndim == 0 else vals.reshape(x.shape)
+
+    def qfc(self) -> dict:
+        """qfc_check wholly in extended precision, from the exact values of
+        cos and sin at multiples of pi/3 and of cosh and sinh at pi tau/2."""
+        nm, n, L, w = self.nome, self.n, self.L, self.w
+        y = self._y()
+        c6 = (2, 1, -1, -2, -1, 1)
+        s6 = (0, 1, 1, 0, -1, -1)
+
+        def q(j, order):
+            # q^(order)(j pi / 3) at w bits
+            if order == 1:
+                total = -sum(f * v * s6[f * j % 6] for f, v in enumerate(y))
+                return total * nm.root3 >> (w + 1)
+            return sum((-f * f if order else 1) * v * c6[f * j % 6] for f, v in enumerate(y)) >> 1
+
+        def mul(*xs):
+            out = 1 << w
+            for x in xs:
+                out = out * x >> w
+            return out
+
+        q0, q0pp, q3, q3p, q3pp = q(0, 0), q(0, 2), q(1, 0), q(1, 1), q(1, 2)
+        a1, a2 = nm.a1, nm.a2
+        E = (2 * n + 3) * nm.r1 // 6 - 3 * n * nm.r3 - 9 * nm.r4 // 2
+        qphi2 = q3pp + 2 * L * mul(a1, q3p) + mul(L * (L - 1) * mul(a1, a1) + L * a2, q3)
+        lhs = ((2 * n + 3) * mul(q0pp, q3) + (2 * n - 1) * mul(q0, qphi2)
+               + 2 * (2 * n + 1) * mul(E, q0, q3))
+        # 3i q'(pi + pi tau/2) / q(pi tau/2) = 3 S / C, in powers of h
+        S = C = 0
+        for f, k, two_e, fac in self.freqs:
+            lo, hi = nm.h_power(two_e - f), nm.h_power(two_e + f)
+            C += fac * self.V[k] * (lo + hi)
+            S += (-1) ** f * f * fac * self.V[k] * (lo - hi)
+        alt = mul(nm.T3, nm.T3, q0, q(4, 0)) - mul(nm.T4, nm.T4, q(3, 0), q3)
+        rhs = 3 * mul((S << w) // C, alt)
+        residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+        phase2 = self.phase**2
+        return {"lhs": phase2 * (lhs / (1 << w)), "rhs": phase2 * (rhs / (1 << w)),
+                "residual": residual, "ok": residual < 1e-7}
+
+
+def _extend(qc: QCoefficients) -> QCoefficients:
+    """Redo a cell on the extended route."""
+    ext = _ExtendedQ(qc, _precision_bits(qc))
+    free = ext.coefficients()
+    return QCoefficients(n=qc.n, tau=qc.tau, free=free, base=_base(free, qc.n, qc.tau),
+                         nullspace_gap=qc.nullspace_gap, singular_values=qc.singular_values,
+                         bank=qc.bank, route="extended", cancellation=qc.cancellation,
+                         extended=ext)

@@ -7,17 +7,18 @@ Fourier and product expansions of the theta functions serve as mutual
 oracles, and every identity used elsewhere in the package is exercised here
 at randomized arguments.
 
-``theta`` is memoised in a bounded LRU cache of 2048 entries keyed by
-(j, u, ctx, order).  The Q pipeline evaluates the same n-independent grids
-(contour points of expansion_E, functional-equation, Wronskian and
-differential-difference sample points) again for every n at a given nome.
-Those grids are revisited in a cycle, so a cache smaller than the working
-set of one (tau, n) step evicts each value just before its reuse: over the
-benchmark's q-sweep, 2048 entries serve 84 % of the calls from the cache,
-as many as 4096 do, and 1024 entries only 26 %.  A hit returns the value
-the series computed, so results are bit-identical with or without the memo;
-arguments that compare equal but differ in type (float and numpy float64)
-or in the sign of a zero also get the same bits from the series.
+``theta`` is memoised in a bounded LRU cache of 256 entries keyed by
+(j, u, ctx, order).  The Q pipeline evaluates its n-independent grids
+(solve, fresh-point and differential-difference sample points) once per
+nome through the list form of ``theta`` and keeps the values itself, so
+the memo serves the scattered scalar calls.  Over the benchmark's q-sweep
+at seed 0 (80 345 calls), 256 entries serve 54.8 % of the calls from the
+cache, 2048 or 4096 entries 55.5 %, 64 entries 51.4 % and 32 entries
+35.3 %; the misses left are mostly the identity suite's random arguments.
+A hit returns the value the series computed, so results are bit-identical
+with or without the memo; arguments that compare equal but differ in type
+(float and numpy float64) or in the sign of a zero also get the same bits
+from the series.
 """
 
 from __future__ import annotations
@@ -31,15 +32,14 @@ from dataclasses import dataclass, field
 __all__ = [
     "TruncationFailure",
     "LatticePoint",
-    "RadiusSelectionFailure",
     "CrossCheckFailure",
     "SeriesDivergence",
     "ThetaContext",
+    "theta_context",
     "theta",
     "theta_product",
     "qpochhammer",
     "weierstrass_p",
-    "series_taylor",
     "ModularValues",
     "modular_values",
     "zeta_of_eta",
@@ -50,7 +50,6 @@ __all__ = [
     "LEMMA_RESIDUALS",
     "LEMMA_TOLERANCE",
     "IDENTITY_TOLERANCE",
-    "expansion_radius",
     "expansion_E",
     "baxter_f_infinity",
 ]
@@ -64,10 +63,6 @@ class TruncationFailure(ArithmeticError):
 
 class LatticePoint(ArithmeticError):
     """Weierstrass P requested on (or too near) a lattice point."""
-
-
-class RadiusSelectionFailure(ArithmeticError):
-    """No contour radius gave stable Taylor coefficients."""
 
 
 class CrossCheckFailure(ArithmeticError):
@@ -92,8 +87,8 @@ class ThetaContext:
     def __post_init__(self):
         if complex(self.tau).imag <= 0:
             raise ValueError("tau must lie in the upper half-plane")
-        # theta's memo hashes its context on every call, and the Q pipeline
-        # builds a fresh context per function: both values are fixed here
+        # theta's memo hashes its context on every call: both values are
+        # fixed here
         object.__setattr__(self, "nome", cmath.exp(1j * PI * self.tau))
         object.__setattr__(self, "_hash", hash((self.tau, self.eps, self.max_terms)))
 
@@ -101,60 +96,117 @@ class ThetaContext:
         return self._hash
 
     def scaled(self, factor) -> "ThetaContext":
-        return ThetaContext(self.tau * factor, self.eps, self.max_terms)
+        return theta_context(self.tau * factor, self.eps, self.max_terms)
 
 
-# 2048 entries hold the working set of one (tau, n) step of the Q pipeline;
-# at 1024 its cyclic access pattern evicts entries just before their reuse
-# (see the module docstring).
-@functools.lru_cache(maxsize=2048)
-def theta(j: int, u: complex, ctx: ThetaContext, order: int = 0) -> complex:
-    """theta_j^(order)(u | tau), by term-wise differentiated Fourier series.
+def theta_context(tau: complex, eps: float = 1e-15, max_terms: int = 64) -> ThetaContext:
+    """The one shared ThetaContext per (tau, eps, max_terms).
 
-    Supported orders 0..4.  Raises TruncationFailure when the bound on the
-    next term has not dropped below eps * (scale of the sum) within
-    max_terms terms.  Results are memoised per (j, u, ctx, order); an
-    exception is not, so a failing call raises every time.
-    """
+    theta's memo compares its key with the stored one on every hit; with
+    the same context object that comparison is an identity check, while an
+    equal but distinct context runs the dataclass ``__eq__``.  Every
+    context the package builds comes from here (``scaled`` too)."""
+    return _interned_context(complex(tau), eps, max_terms)
+
+
+# the cache sizes here and in qsolver are at least their working sets: the
+# smallest LRU size that keeps every hit of a q-sweep benchmark child
+# (seeds 0, 1, 3) is 7 contexts and 44 term lists
+@functools.lru_cache(maxsize=32)
+def _interned_context(tau: complex, eps: float, max_terms: int) -> ThetaContext:
+    return ThetaContext(tau, eps, max_terms)
+
+
+@functools.lru_cache(maxsize=64)
+def _theta_terms(j: int, ctx: ThetaContext, order: int) -> list:
+    """The u-independent factors of the terms of theta_j^(order) at ctx, as
+    (m, coefficient, magnitude at Im u = 0): filled in by _theta_series as
+    far as any argument has needed them."""
+    return []
+
+
+def _theta_series(j: int, us, ctx: ThetaContext, order: int) -> list[complex]:
+    """theta_j^(order) at each argument of the sequence ``us``: the one
+    Fourier series behind ``theta``.  Each argument stops at the term where
+    its own convergence test is met, so an element has the bits of a call
+    with that argument alone."""
     if j not in (1, 2, 3, 4):
         raise ValueError("theta index must be 1..4")
     if not 0 <= order <= 4:
         raise ValueError("derivative order must be 0..4")
     p = ctx.nome
     ap = abs(p)
-    im = abs(complex(u).imag)
-    acc = 0j
-    scale = 0.0
-    if j in (3, 4) and order == 0:
-        acc = 1.0 + 0j
-        scale = 1.0
-    good = 0
-    for k in range(ctx.max_terms):
-        if j in (1, 2):
-            m = 2 * k + 1
-            mag = 2.0 * ap ** ((k + 0.5) ** 2) * m**order * math.exp(m * im)
-            arg = m * u + order * PI / 2
-            if j == 1:
-                term = 2.0 * (-1) ** k * p ** ((k + 0.5) ** 2) * m**order * cmath.sin(arg)
+    eps = ctx.eps
+    wave = cmath.sin if j == 1 else cmath.cos
+    off = order * PI / 2
+    start, scale0 = (1.0 + 0j, 1.0) if j in (3, 4) and order == 0 else (0j, 0.0)
+    terms = _theta_terms(j, ctx, order)
+    out = []
+    for u in us:
+        im = abs(complex(u).imag)
+        acc, scale, good = start, scale0, 0
+        k = 0
+        while True:
+            if k == len(terms):
+                if k == ctx.max_terms:
+                    raise TruncationFailure(
+                        f"theta_{j} series did not converge (tau={ctx.tau}, u={u}, order={order})"
+                    )
+                if j in (1, 2):
+                    m = 2 * k + 1
+                    e = (k + 0.5) ** 2
+                    sign = (-1) ** k if j == 1 else 1
+                    terms.append((m, 2.0 * sign * p ** e * m**order, 2.0 * ap ** e * m**order))
+                else:
+                    kk = k + 1
+                    m = 2 * kk
+                    sign = (-1) ** kk if j == 4 else 1
+                    terms.append((m, 2.0 * sign * p ** (kk**2) * m**order,
+                                  2.0 * ap ** (kk**2) * m**order))
+            m, coef, mag0 = terms[k]
+            k += 1
+            acc += coef * wave(m * u + off)
+            # exp(0) is 1.0 exactly, so a real argument skips it
+            mag = mag0 * math.exp(m * im) if im else mag0
+            a = abs(acc)
+            if a > scale:
+                scale = a
+            if mag > scale:
+                scale = mag
+            if mag <= eps * (scale if scale > 1e-300 else 1e-300):
+                good += 1
+                if good == 2:
+                    break
             else:
-                term = 2.0 * p ** ((k + 0.5) ** 2) * m**order * cmath.cos(arg)
-        else:
-            kk = k + 1
-            m = 2 * kk
-            mag = 2.0 * ap ** (kk**2) * m**order * math.exp(m * im)
-            sign = (-1) ** kk if j == 4 else 1
-            term = 2.0 * sign * p ** (kk**2) * m**order * cmath.cos(m * u + order * PI / 2)
-        acc += term
-        scale = max(scale, abs(acc), mag)
-        if mag <= ctx.eps * max(scale, 1e-300):
-            good += 1
-            if good >= 2:
-                return acc
-        else:
-            good = 0
-    raise TruncationFailure(
-        f"theta_{j} series did not converge (tau={ctx.tau}, u={u}, order={order})"
-    )
+                good = 0
+        out.append(acc)
+    return out
+
+
+# 256 entries serve as many calls as 2048 (see the module docstring)
+@functools.lru_cache(maxsize=256)
+def _theta_memo(j: int, u: complex, ctx: ThetaContext, order: int) -> complex:
+    return _theta_series(j, (u,), ctx, order)[0]
+
+
+def theta(j: int, u, ctx: ThetaContext, order: int = 0):
+    """theta_j^(order)(u | tau), by term-wise differentiated Fourier series.
+
+    Supported orders 0..4.  Raises TruncationFailure when the bound on the
+    next term has not dropped below eps * (scale of the sum) within
+    max_terms terms.  A number ``u`` gives a complex, memoised per
+    (j, u, ctx, order); an exception is not, so a failing call raises every
+    time.  A list of arguments gives a list, unmemoised, each element
+    bit-identical to the call with that argument alone.
+    """
+    if isinstance(u, list):
+        return _theta_series(j, u, ctx, order)
+    return _theta_memo(j, u, ctx, order)
+
+
+theta.cache_info = _theta_memo.cache_info
+theta.cache_clear = _theta_memo.cache_clear
+theta.__wrapped__ = _theta_memo.__wrapped__
 
 
 def qpochhammer(a: complex, q: complex, eps: float = 1e-16, max_terms: int = 512) -> complex:
@@ -205,7 +257,7 @@ def weierstrass_p(u: complex, w1: complex, w2: complex, eps: float = 1e-15) -> c
     if ratio.imag < 0:
         w1, w2 = w2, w1
         ratio = w2 / w1
-    ctx = ThetaContext(ratio)
+    ctx = theta_context(ratio)
     v = PI * u / w1
     t1 = theta(1, v, ctx)
     t1p = theta(1, v, ctx, 1)
@@ -216,66 +268,17 @@ def weierstrass_p(u: complex, w1: complex, w2: complex, eps: float = 1e-15) -> c
     return (PI / w1) ** 2 * ((t1p / t1) ** 2 - t1pp / t1 + c)
 
 
-# -- Taylor coefficients by contour sampling ----------------------------
-
-@functools.cache
-def _twiddles(k: int, samples: int) -> tuple:
-    """exp(-2 pi i m j / samples) for j < k (rows) and m < samples."""
-    return tuple(
-        tuple(cmath.exp(-2j * PI * m * j / samples) for m in range(samples))
-        for j in range(k)
-    )
-
-
-def _contour_coeffs(fn, u0: complex, k: int, radius: float, samples: int):
-    vals = [fn(u0 + radius * cmath.exp(2j * PI * m / samples)) for m in range(samples)]
-    fmax = max(abs(v) for v in vals)
-    out = []
-    for j, row in enumerate(_twiddles(k, samples)):
-        acc = 0j
-        for v, w in zip(vals, row):
-            acc += v * w
-        out.append(acc / (samples * radius**j))
-    return out, fmax
-
-
-def series_taylor(fn, u0: complex, k: int, radius: float = 0.5,
-                  samples: int = 128, rtol: float = 1e-9) -> list[complex]:
-    """First k Taylor coefficients of fn at u0 by uniform circle sampling.
-
-    The radius is validated by recomputing at half the radius and comparing
-    the coefficients (a Richardson-style consistency check), allowing for
-    the roundoff floor eps * max|f| / r^j of each extraction; on
-    disagreement the radius shrinks, and after three failures
-    RadiusSelectionFailure is raised.
-    """
-    r = radius
-    for _ in range(3):
-        a, fa = _contour_coeffs(fn, u0, k, r, samples)
-        b, fb = _contour_coeffs(fn, u0, k, r / 2, samples)
-        ok = True
-        for j, (x, y) in enumerate(zip(a, b)):
-            noise = 2e-13 * (fa / r**j + fb / (r / 2) ** j)
-            if abs(x - y) > rtol * max(abs(x), abs(y)) + noise:
-                ok = False
-                break
-        if ok:
-            return a
-        r /= 2
-    raise RadiusSelectionFailure(f"no stable contour radius near {u0} (started {radius})")
-
-
 # -- modular parameter maps ---------------------------------------------
 
 def zeta_of_eta(eta: complex, tau: complex) -> complex:
     """Transfer-matrix invariant zeta as a function of the crossing parameter."""
-    c2 = ThetaContext(2 * tau)
+    c2 = theta_context(2 * tau)
     return (theta(1, 2 * eta, c2) / theta(4, 2 * eta, c2)) ** 2
 
 
 def gamma_of_eta(eta: complex, tau: complex) -> complex:
     """Transfer-matrix invariant Gamma as a function of the crossing parameter."""
-    c2 = ThetaContext(2 * tau)
+    c2 = theta_context(2 * tau)
     return (
         theta(2, 2 * eta, c2)
         * theta(3, 2 * eta, c2)
@@ -309,7 +312,7 @@ class ModularValues:
 def modular_values(tau: complex, tol: float = 1e-12) -> ModularValues:
     """All modular quantities at eta = pi/3, with redundant formulas
     cross-checked against each other to ``tol``."""
-    ctx = ThetaContext(tau)
+    ctx = theta_context(tau)
     ch = ctx.scaled(0.5)
     zeta = zeta_of_eta(PI / 3, tau)
     Gamma = gamma_of_eta(PI / 3, tau)
@@ -344,7 +347,7 @@ def _rand_u(rng: random.Random, tau: complex) -> complex:
 
 
 #: identity_suite entries built from chains of theta evaluations
-#: (finite-difference eta derivatives, contour Taylor coefficients, removable
+#: (finite-difference eta derivatives, Taylor-coefficient ratios, removable
 #: 0/0 limits raised to powers, couplings at generic eta), whose round-off
 #: exceeds that of one identity: they are held to LEMMA_TOLERANCE, the rest
 #: to IDENTITY_TOLERANCE unless a report asks for another bound.
@@ -362,7 +365,7 @@ def identity_suite(tau: complex, seed: int = 0, samples: int = 20) -> dict:
     """Max relative residual of every theta identity the package relies on,
     at ``samples`` seeded pseudo-random argument tuples."""
     rng = random.Random(seed)
-    ctx = ThetaContext(tau)
+    ctx = theta_context(tau)
     c2 = ctx.scaled(2)
     ch = ctx.scaled(0.5)
     c3 = ctx.scaled(3)
@@ -402,7 +405,7 @@ def identity_suite(tau: complex, seed: int = 0, samples: int = 20) -> dict:
             tally(f"series_vs_product_theta{j}", _rel(theta(j, u, ctx), theta_product(j, u, ctx)))
 
         # modular transformation of theta_4
-        lhs = theta(4, u / tau, ThetaContext(-1 / tau))
+        lhs = theta(4, u / tau, theta_context(-1 / tau))
         rhs = cmath.sqrt(tau / 1j) * cmath.exp(1j * u * u / (PI * tau)) * theta(2, u, ctx)
         tally("modular_theta4_to_theta2", _rel(lhs, rhs))
 
@@ -473,9 +476,8 @@ def identity_suite(tau: complex, seed: int = 0, samples: int = 20) -> dict:
     logd = theta(1, PI / 3, ctx, 2) / theta(1, PI / 3, ctx) \
         - (theta(1, PI / 3, ctx, 1) / theta(1, PI / 3, ctx)) ** 2
     gamma = mv.gamma
-    r_safe = expansion_radius(tau)
     for n in range(5):
-        E = expansion_E(n, ctx, r_safe)
+        E = expansion_E(n, ctx)
         lhs = 2 * n * (2 * n + 1) * logd + (2 * n + 1) * E
         rhs = -(2 * n + 1) * mv.chi * (gamma**2 - 3) / (gamma + 1) ** 2
         tally("taylor_combination", _rel(lhs, rhs))
@@ -502,32 +504,24 @@ def identity_report(tau: complex, seed: int = 0, tolerance: float = IDENTITY_TOL
     }
 
 
-def expansion_radius(tau: complex) -> float:
-    """Contour radius for expansion_E at nome tau, 0.4 min(pi/3, pi Im(tau)/3):
-    the circle stays clear of the integrand's poles at pi/3 and pi tau/2.
+def expansion_E(n: int, ctx: ThetaContext) -> complex:
+    """E, the 5th-over-3rd Taylor coefficient ratio at u = 0 of
+    theta1(u)^(2n+3) / (theta1(3u|3tau)^(2n) theta4(3u|3tau)).
 
-    qfc_check and identity_suite both call expansion_E with this radius, so
-    their theta evaluations on the contour coincide bit for bit and the
-    second caller is served from theta's memo."""
-    return 0.4 * min(PI / 3, PI * complex(tau).imag / 3)
-
-
-def expansion_E(n: int, ctx: ThetaContext, radius: float) -> complex:
-    """E with (2n+1)E the 5th-over-3rd Taylor coefficient ratio of
-    theta1(u)^(2n+3) / (theta1(3u|3tau)^(2n) theta4(3u|3tau))."""
+    With theta1(u) = u A(u^2), theta1(3u|3tau) = 3u B(u^2) and
+    theta4(3u|3tau) = C(u^2) the function is u^3 A^(2n+3) / (9^n B^(2n) C)
+    of u^2, so the ratio is the logarithmic derivative of that quotient at
+    0: six theta values at u = 0, at tau and at 3 tau."""
     c3 = ctx.scaled(3)
-
-    def fn(u):
-        return theta(1, u, ctx) ** (2 * n + 3) / (
-            theta(1, 3 * u, c3) ** (2 * n) * theta(4, 3 * u, c3)
-        )
-
-    coeffs = series_taylor(fn, 0.0, 6, radius=radius)
-    return coeffs[5] / coeffs[3]
+    return (
+        (2 * n + 3) * theta(1, 0.0, ctx, 3) / (6 * theta(1, 0.0, ctx, 1))
+        - 3 * n * theta(1, 0.0, c3, 3) / theta(1, 0.0, c3, 1)
+        - 4.5 * theta(4, 0.0, c3, 2) / theta(4, 0.0, c3)
+    )
 
 
 def _prefactor_chain_residual(n: int, tau: complex, mv: ModularValues) -> float:
-    ctx = ThetaContext(tau)
+    ctx = theta_context(tau)
     ch = ctx.scaled(0.5)
     c32 = ctx.scaled(1.5)
 
@@ -607,7 +601,7 @@ def baxter_f_infinity(tau: complex, tolerance: float = 1e-9) -> dict:
     if abs(tau.real) > 1e-12 or tau.imag <= 0:
         raise ValueError("tau must be pure imaginary with positive imaginary part")
     eta0 = PI / 3
-    ctx = ThetaContext(tau)
+    ctx = theta_context(tau)
     c2 = ctx.scaled(2)
 
     def prefactor(eta):

@@ -169,20 +169,19 @@ def test_criterion_10_q_pipeline():
     from susyxyz.thetanum import modular_values
 
     t0 = time.monotonic()
-    tau = 1j
-    zeta = modular_values(tau).zeta.real
     ok = True
-    for n in range(4):
-        qc = solve_q(n, tau)
-        ok = ok and qc.nullspace_gap >= 1e6
-        w = wronskian_checks(qc)
-        ok = ok and w["max_relation_residual"] < 1e-7
-        d = ddt_check(qc)
-        ok = ok and d["residual"] < 1e-7 and d["beta_closed_residual"] < 1e-7
-        ok = ok and qfc_check(qc)["residual"] < 1e-7
-        if n <= 2:
+    for tau in (0.5j, 1j, 2j):
+        zeta = modular_values(tau).zeta.real
+        for n in range(13):
+            qc = solve_q(n, tau)
+            ok = ok and qc.nullspace_gap >= 1e6
+            w = wronskian_checks(qc)
+            ok = ok and w["max_relation_residual"] < 1e-7
+            d = ddt_check(qc)
+            ok = ok and d["residual"] < 1e-7 and d["beta_closed_residual"] < 1e-7
+            ok = ok and qfc_check(qc)["residual"] < 1e-7
             fq = f_from_q(qc)
             fe = float(f_zeta(n).evaluate(zeta))
             ok = ok and abs(fq - fe) < 1e-6
     elapsed = time.monotonic() - t0
-    _report(10, "Q-eigenvalue pipeline (n <= 3 at tau = i)", ok and elapsed < 120.0)
+    _report(10, "Q-eigenvalue pipeline (n <= 12 at tau = 0.5i, i, 2i)", ok and elapsed < 120.0)

@@ -113,6 +113,16 @@ def test_qsolve_cli(capsys):
     assert rep["f_bridge_residual"] < 1e-6
 
 
+def test_qsolve_without_an_isolated_null_space_exits_1(capsys):
+    # at n = 14, tau = 0.5i the singular-value gap is below GAP_THRESHOLD:
+    # still a JSON report, with ok false and the gap next to its threshold
+    code, out = run(capsys, "qsolve", "--n", "14", "--tau", "0.5")
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["ok"] is False
+    assert rep["nullspace_gap"] < rep["gap_threshold"] == 1e6
+
+
 def test_qsolve_check_selection(capsys):
     code, out = run(capsys, "qsolve", "--n", "0", "--check", "wronskian")
     assert code == 0

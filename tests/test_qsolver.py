@@ -1,13 +1,18 @@
 """Q-eigenvalue solver and its verification chain."""
 
 import cmath
+import dataclasses
+import decimal
 
 import numpy as np
 import pytest
 
 from susyxyz.corrfn import f_zeta
+from susyxyz import qsolver
 from susyxyz.qsolver import (
-    QCoefficients,
+    FE_BOUND,
+    GAP_THRESHOLD,
+    UNIT_ROUNDOFF,
     _ladder_bank,
     _wronskian_constant,
     alternant,
@@ -16,10 +21,11 @@ from susyxyz.qsolver import (
     functional_equation_residual,
     q_eval,
     qfc_check,
+    qsolve_report,
     solve_q,
     wronskian_checks,
 )
-from susyxyz.thetanum import PI, ThetaContext, modular_values, theta
+from susyxyz.thetanum import PI, ThetaContext, expansion_E, modular_values, theta
 
 TAU = 1j
 
@@ -98,11 +104,7 @@ def test_qfc_relation(solved):
 
 def test_qfc_scale_invariance(solved):
     qc = solved[1]
-    scaled = QCoefficients(
-        n=qc.n, tau=qc.tau, free=10 * qc.free, base=10 * qc.base,
-        nullspace_gap=qc.nullspace_gap, singular_values=qc.singular_values,
-        bank=qc.bank,
-    )
+    scaled = dataclasses.replace(qc, free=10 * qc.free, base=10 * qc.base)
     r1 = qfc_check(qc)["residual"]
     r2 = qfc_check(scaled)["residual"]
     assert abs(r1 - r2) < 1e-12
@@ -187,12 +189,230 @@ def _solve_q_reference(n, tau):
     return np.conj(vh[-1]), sing
 
 
+# -- the extended route against an independent 60-digit decimal reference --
+
+D60 = decimal.Context(prec=60)
+PI_D = D60.create_decimal(
+    "3.14159265358979323846264338327950288419716939937510582097494459230781640628620899863"
+)
+
+
+def _dec_cos_sin(x):
+    """cos and sin of a Decimal by its Taylor series after reduction by 2 pi."""
+    two_pi = 2 * PI_D
+    with decimal.localcontext(D60):
+        x = x - two_pi * (x / two_pi).to_integral_value()
+        c = s = decimal.Decimal(0)
+        term, k = decimal.Decimal(1), 0
+        while abs(term) > decimal.Decimal("1e-70"):
+            if k % 2 == 0:
+                c += term if k % 4 == 0 else -term
+            else:
+                s += term if k % 4 == 1 else -term
+            k += 1
+            term = term * x / k
+        return c, s
+
+
+def _dec_weights(qc):
+    """Per bank frequency f: (f, k, fac * p^e) in decimal, with p = exp(-pi t)
+    and e the exponent the quasi-periodicity ladder gives f."""
+    L = qc.L
+    t = decimal.Decimal(complex(qc.tau).imag)
+    out = []
+    for k, (js, _) in enumerate(qc.bank):
+        for f in js.tolist():
+            if (f - k) % L == 0:
+                m = (f - k) // L
+                e = decimal.Decimal(2 * m * k + L * m * m) / 2
+            else:
+                m = (f + k) // L
+                e = decimal.Decimal(-2 * m * k + L * m * m) / 2
+            out.append((f, k, (1 if f == 0 else 2) * D60.exp(-PI_D * t * e)))
+    return out
+
+
+def _dec_q(weights, coefficients, x, order=0):
+    """q^(order) at a real or complex point from real decimal coefficients,
+    as (real part, imaginary part)."""
+    x = complex(x)
+    a, b = decimal.Decimal(x.real), decimal.Decimal(x.imag)
+    re = im = decimal.Decimal(0)
+    with decimal.localcontext(D60):
+        for f, k, w in weights:
+            c, s = _dec_cos_sin(f * a)
+            ch = (D60.exp(f * b) + D60.exp(-f * b)) / 2
+            sh = (D60.exp(f * b) - D60.exp(-f * b)) / 2
+            y = coefficients[k] * w
+            if order == 0:              # cos(f x) = c ch - i s sh
+                re += y * c * ch
+                im -= y * s * sh
+            elif order == 1:            # -f sin(f x) = -f (s ch + i c sh)
+                re -= y * f * s * ch
+                im -= y * f * c * sh
+            else:                       # -f^2 cos(f x)
+                re -= y * f * f * c * ch
+                im += y * f * f * s * sh
+    return re, im
+
+
+def _extended_coefficients(qc):
+    ext = qc.extended
+    return [decimal.Decimal(v) / (1 << ext.bits) for v in ext.V]
+
+
+def _q_eval_extended_reference(qc, u, order=0):
+    # the routed cell's extended coefficients summed in 60-digit decimal,
+    # rounded once
+    re, im = _dec_q(_dec_weights(qc), _extended_coefficients(qc), u, order)
+    return qc.extended.phase * complex(float(re), float(im))
+
+
+def _theta1_decimal(t, x):
+    with decimal.localcontext(D60):
+        total = decimal.Decimal(0)
+        for k in range(40):
+            a = D60.exp(-PI_D * t * (k + decimal.Decimal("0.5")) ** 2)
+            total += 2 * (-1) ** k * a * _dec_cos_sin((2 * k + 1) * x)[1]
+        return total
+
+
+def _reference_null_vector(qc):
+    """The real null vector of the functional equation on qc's ladder bank,
+    solved independently at 60 digits: theta1 and the cosines in decimal,
+    n + 1 rows at exact shifts by 2 pi/3, the largest component of qc's
+    coefficients fixed to 1, the rest by Gaussian elimination."""
+    n, L = qc.n, qc.L
+    t = decimal.Decimal(complex(qc.tau).imag)
+    weights = _dec_weights(qc)
+    pivot = int(np.argmax(np.abs(qc.free)))
+    rows = []
+    with decimal.localcontext(D60):
+        for i in range(n):
+            u = decimal.Decimal("0.2") + decimal.Decimal("2.7") * i / n
+            row = [decimal.Decimal(0)] * (n + 1)
+            for shift in (0, 2 * PI_D / 3, -2 * PI_D / 3):
+                x = u + shift
+                phi = _theta1_decimal(t, x) ** L
+                for f, k, w in weights:
+                    row[k] += phi * w * _dec_cos_sin(f * x)[0]
+            rows.append(row)
+        others = [k for k in range(n + 1) if k != pivot]
+        A = [[row[k] for k in others] + [-row[pivot]] for row in rows]
+        for c in range(n):
+            r = max(range(c, n), key=lambda i: abs(A[i][c]))
+            A[c], A[r] = A[r], A[c]
+            for i in range(c + 1, n):
+                factor = A[i][c] / A[c][c]
+                A[i] = [x - factor * y for x, y in zip(A[i], A[c])]
+        sol = [decimal.Decimal(0)] * n
+        for c in reversed(range(n)):
+            sol[c] = (A[c][n] - sum(A[c][j] * sol[j] for j in range(c + 1, n))) / A[c][c]
+    vector = [decimal.Decimal(1)] * (n + 1)
+    for k, v in zip(others, sol):
+        vector[k] = v
+    return vector
+
+
+def test_routed_cell_matches_decimal_reference_to_25_digits():
+    qc = solve_q(8, 0.5093j)
+    assert qc.route == "extended"
+    weights = _dec_weights(qc)
+    ours, ref = _extended_coefficients(qc), _reference_null_vector(qc)
+    points = (0.3, 1.2, 2.0, 2.7)
+    with decimal.localcontext(D60):
+        q_ours = [_dec_q(weights, ours, x)[0] for x in points]
+        q_ref = [_dec_q(weights, ref, x)[0] for x in points]
+        # both normalized at the largest value: 25 digits of that scale
+        top = max(range(len(points)), key=lambda i: abs(q_ref[i]))
+        for a, b in zip(q_ours, q_ref):
+            assert abs(a / q_ours[top] - b / q_ref[top]) <= decimal.Decimal("1e-25")
+
+
+def test_double_width_precision_fails_the_functional_equation(monkeypatch):
+    # the extended precision is load-bearing: the same kernel at the 53 bits
+    # of a double leaves the cell's coefficients outside the
+    # functional-equation bound (it passes from about 60 bits on)
+    fresh = np.linspace(0.17, PI - 0.13, 50)
+    assert functional_equation_residual(solve_q(8, 0.5093j), fresh) < FE_BOUND
+    monkeypatch.setattr(qsolver, "_precision_bits", lambda qc: 53)
+    assert functional_equation_residual(solve_q(8, 0.5093j), fresh) >= FE_BOUND
+
+
+def _cell_bits(n, tau):
+    qc = solve_q(n, tau)
+    ext = qc.extended
+    return (_bits(qc.free), functional_equation_residual(qc, np.linspace(0.17, PI - 0.13, 50)),
+            _bits(q_eval(qc, np.linspace(-3.0, 6.5, 41) + PI * tau / 2, 1)),
+            _bits(qfc_check(qc)["lhs"]), ddt_check(qc)["beta_closed_residual"],
+            ext.bits, ext.nome.bits, ext.nome.w)
+
+
+@pytest.mark.parametrize("before", [
+    dict(n=8, tau=0.5j), dict(n=12, tau=0.5j), dict(n=5, tau=0.5j, multiplier_cut=1e-60),
+    dict(n=5, tau=0.6j),
+])
+def test_routed_cell_does_not_depend_on_earlier_cells(before):
+    # a routed cell's tables and nome values are built at its own precision
+    # and guard, so a cell run first, at the same nome with more terms or a
+    # deeper ladder or at another nome, leaves its precision and every bit
+    # of its results as in a fresh process
+    qsolver._trig_table.cache_clear()
+    qsolver._nome.cache_clear()
+    fresh = _cell_bits(5, 0.5j)
+    qsolver._trig_table.cache_clear()
+    qsolver._nome.cache_clear()
+    assert solve_q(**before).route == "extended"
+    assert _cell_bits(5, 0.5j) == fresh
+
+
+def _qfc_reference(qc):
+    n, tau, L = qc.n, qc.tau, qc.L
+    ctx = ThetaContext(tau)
+    c32 = ctx.scaled(1.5)
+    E = expansion_E(n, ctx)
+    th, th1, th2 = (theta(1, PI / 3, ctx, r) for r in range(3))
+    phi = th**L
+    phi1 = L * th ** (L - 1) * th1
+    phi2 = L * (L - 1) * th ** (L - 2) * th1**2 + L * th ** (L - 1) * th2
+    q = _q_eval_reference
+    q_third = q(qc, PI / 3)
+    qphi2 = q(qc, PI / 3, 2) * phi + 2 * q(qc, PI / 3, 1) * phi1 + q_third * phi2
+    lhs = (
+        (2 * n + 3) * q(qc, 0.0, 2) * q_third
+        + (2 * n - 1) * q(qc, 0.0) * qphi2 / phi
+        + 2 * (2 * n + 1) * E * q(qc, 0.0) * q_third
+    )
+    alt = (theta(3, 0.0, c32) * theta(4, PI / 2, c32) * q(qc, 0.0) * q(qc, PI / 3 + PI)
+           - theta(4, 0.0, c32) * theta(3, PI / 2, c32) * q(qc, PI) * q(qc, PI / 3))
+    rhs = 3j * q(qc, PI + PI * tau / 2, 1) / q(qc, PI * tau / 2) * alt
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+def test_qsolve_passes_every_check_at_n_12(t):
+    rep = qsolve_report(12, 1j * t)
+    assert rep["ok"] is True and rep["route"] == "extended"
+    assert rep["cancellation"] > 0
+
+
+def test_qsolve_reports_an_unisolated_null_space():
+    rep = qsolve_report(14, 0.5j)
+    assert rep["ok"] is False
+    assert rep["nullspace_gap"] < rep["gap_threshold"] == GAP_THRESHOLD
+
+
+def _reference_q(qc):
+    return _q_eval_extended_reference if qc.route == "extended" else _q_eval_reference
+
+
 def _fe_residual_reference(qc, us):
     ctx = ThetaContext(qc.tau)
+    q = _reference_q(qc)
     worst = 0.0
     for u in us:
         terms = [
-            theta(1, u + shift, ctx) ** qc.L * _q_eval_reference(qc, u + shift)
+            theta(1, u + shift, ctx) ** qc.L * q(qc, u + shift)
             for shift in (0.0, 2 * PI / 3, -2 * PI / 3)
         ]
         scale = max(abs(t) for t in terms)
@@ -203,23 +423,28 @@ def _fe_residual_reference(qc, us):
 
 def _wronskian_residual_reference(qc, n_samples=20):
     ctx = ThetaContext(qc.tau)
+    q = _reference_q(qc)
     W = _wronskian_constant(qc)
     worst = 0.0
     for u in np.linspace(0.07, PI - 0.07, n_samples):
         lhs = W * theta(1, u, ctx) ** qc.L
-        t1 = _q_eval_reference(qc, u - PI / 3) * _q_eval_reference(qc, u - 2 * PI / 3)
-        t2 = (_q_eval_reference(qc, u - PI / 3 + PI)
-              * _q_eval_reference(qc, u - 2 * PI / 3 + PI))
+        t1 = q(qc, u - PI / 3) * q(qc, u - 2 * PI / 3)
+        t2 = q(qc, u - PI / 3 + PI) * q(qc, u - 2 * PI / 3 + PI)
         worst = max(worst, abs(lhs - (t1 - t2)) / max(abs(lhs), abs(t1), abs(t2)))
     return worst
 
 
+#: (3, 0.7j) and (6, 0.55j) take the extended route: their values are
+#: compared with the extended reference, the others' with the double
+#: per-point reference
 BIT_CASES = [(0, 1j), (2, 1j), (3, 0.7j), (6, 0.55j)]
 
 
 @pytest.mark.parametrize("n,tau", BIT_CASES)
 def test_q_eval_array_matches_scalar_bitwise(n, tau):
     qc = solve_q(n, tau)
+    assert qc.route == ("double" if tau == 1j else "extended")
+    reference = _reference_q(qc)
     real = np.linspace(-3.0, 6.5, 41)
     for us in (real, real + PI * tau, real + PI * tau / 2):
         for order in range(3):
@@ -228,13 +453,16 @@ def test_q_eval_array_matches_scalar_bitwise(n, tau):
             for u, g in zip(us, got):
                 scalar = q_eval(qc, u, order)
                 assert type(scalar) is complex
-                assert _bits(g) == _bits(scalar) == _bits(_q_eval_reference(qc, u, order))
+                assert _bits(g) == _bits(scalar) == _bits(reference(qc, u, order))
 
 
 @pytest.mark.parametrize("n,tau", BIT_CASES)
 def test_solve_q_fe_and_wronskian_match_per_point_references(n, tau):
     qc = solve_q(n, tau)
     free, sing = _solve_q_reference(n, tau)
+    if qc.route == "extended":
+        vector = _reference_null_vector(qc)
+        free = qc.extended.phase * np.array([float(v) for v in vector])
     assert _bits(qc.free) == _bits(free)
     assert qc.singular_values.tobytes() == sing.tobytes()
     fresh = np.linspace(0.17, PI - 0.13, 50)

@@ -1,5 +1,6 @@
-"""Theta numerics: two-oracle agreement, Weierstrass P, Taylor extraction,
-modular maps, the identity suite, and the series route to the limit curve."""
+"""Theta numerics: two-oracle agreement, Weierstrass P, the closed-form
+Taylor ratio against contour extraction, modular maps, the identity suite,
+and the series route to the limit curve."""
 
 import cmath
 import math
@@ -15,11 +16,12 @@ from susyxyz.thetanum import (
     LatticePoint,
     ThetaContext,
     TruncationFailure,
+    theta_context,
     baxter_f_infinity,
     identity_suite,
     modular_values,
+    expansion_E,
     qpochhammer,
-    series_taylor,
     theta,
     theta_product,
     weierstrass_p,
@@ -129,6 +131,34 @@ def test_weierstrass_against_lattice_sum():
         assert abs(a - b) <= 1e-8 * abs(a)
 
 
+def _contour_coeffs(fn, u0, k, radius, samples):
+    vals = [fn(u0 + radius * cmath.exp(2j * PI * m / samples)) for m in range(samples)]
+    fmax = max(abs(v) for v in vals)
+    out = [
+        sum(v * cmath.exp(-2j * PI * m * j / samples) for m, v in enumerate(vals))
+        / (samples * radius**j)
+        for j in range(k)
+    ]
+    return out, fmax
+
+
+def series_taylor(fn, u0, k, radius=0.5, samples=128, rtol=1e-9):
+    """First k Taylor coefficients of fn at u0 by uniform circle sampling,
+    the radius validated against half the radius (the independent oracle
+    for the closed-form Taylor ratio expansion_E)."""
+    r = radius
+    for _ in range(3):
+        a, fa = _contour_coeffs(fn, u0, k, r, samples)
+        b, fb = _contour_coeffs(fn, u0, k, r / 2, samples)
+        if all(
+            abs(x - y) <= rtol * max(abs(x), abs(y)) + 2e-13 * (fa / r**j + fb / (r / 2) ** j)
+            for j, (x, y) in enumerate(zip(a, b))
+        ):
+            return a
+        r /= 2
+    raise ArithmeticError(f"no stable contour radius near {u0} (started {radius})")
+
+
 def test_series_taylor_exponential():
     coeffs = series_taylor(cmath.exp, 0.0, 3, radius=0.5)
     assert abs(coeffs[0] - 1) < 1e-12
@@ -150,8 +180,6 @@ def test_series_taylor_theta_ratio():
 def test_expansion_combination_matches_pole_coefficients():
     # (2n+1)E = (2n+3)A + (2n-1)B - C + D relates the contour-extracted
     # coefficients to Weierstrass values at the shifted half-periods
-    from susyxyz.thetanum import expansion_E
-
     tau = 1j
     ctx = ThetaContext(tau)
     c3 = ctx.scaled(3)
@@ -177,10 +205,29 @@ def test_expansion_combination_matches_pole_coefficients():
         B = cb[2] / cb[0]
         C = weierstrass_p(PI / 3 + PI * tau / 2, 2 * PI / 3, PI * tau)
         D = weierstrass_p(PI * tau / 2, 2 * PI / 3, PI * tau)
-        E = expansion_E(n, ctx, r)
+        E = expansion_E(n, ctx)
         lhs = (2 * n + 1) * E
         rhs = (2 * n + 3) * A + (2 * n - 1) * B - C + D
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1.0)
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 2.5])
+def test_closed_form_E_matches_contour_ratio(t):
+    # the 5th-over-3rd Taylor ratio of theta1^(2n+3)/(theta1(3u|3tau)^(2n)
+    # theta4(3u|3tau)), extracted on a circle clear of the poles at pi/3
+    # and pi tau/2
+    ctx = ThetaContext(1j * t)
+    c3 = ctx.scaled(3)
+    r = 0.4 * min(PI / 3, PI * t / 3)
+    for n in range(13):
+        def fn(u):
+            return theta(1, u, ctx) ** (2 * n + 3) / (
+                theta(1, 3 * u, c3) ** (2 * n) * theta(4, 3 * u, c3)
+            )
+
+        coeffs = series_taylor(fn, 0.0, 6, radius=r)
+        contour = coeffs[5] / coeffs[3]
+        assert abs(expansion_E(n, ctx) - contour) <= 1e-12 * abs(contour)
 
 
 def test_modular_values_cross_checked():
@@ -283,6 +330,25 @@ def test_theta_memo_does_not_cache_truncation_failure():
         with pytest.raises(TruncationFailure):
             theta(1, 0.4, ctx)
 
+
+
+@pytest.mark.parametrize("tau", [0.55j, 1j, 2.3j, complex(-0.31, 0.55)])
+def test_theta_on_a_list_is_bit_identical_to_scalar_calls(tau):
+    ctx = theta_context(tau)
+    us = list(np.linspace(-3.0, 3.0, 37)) + [0.0, -0.0, 0.4 + 0.2j, -1.1 - 0.3j]
+    for j in range(1, 5):
+        for order in range(5):
+            got = theta(j, [complex(u) if isinstance(u, complex) else float(u) for u in us],
+                        ctx, order)
+            assert [_bits(g) for g in got] == [_bits(theta.__wrapped__(j, u, ctx, order))
+                                               for u in us]
+
+
+def test_contexts_are_shared_per_nome():
+    ctx = theta_context(0.7j)
+    assert ctx is theta_context(0.7j) is theta_context(complex(0.0, 0.7))
+    assert ctx.scaled(3) is theta_context(0.7j * 3)
+    assert ctx == ThetaContext(0.7j) and ctx is not ThetaContext(0.7j)
 
 
 def test_equal_contexts_share_hash_nome_and_memo():
