@@ -49,8 +49,8 @@ def _tau_imag(text: str) -> complex:
     return complex(0.0, im)
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x]
+def _nonneg_int_list(text: str) -> list[int]:
+    return [_nonneg_int(x) for x in text.split(",") if x]
 
 
 def _length_list(text: str) -> list[int]:
@@ -77,9 +77,12 @@ def _check_list(text: str) -> list[str]:
 def _zeta_range(text: str) -> tuple[float, float, int]:
     try:
         a, b, steps = text.split(":")
-        return float(a), float(b), int(steps)
+        a, b, steps = float(a), float(b), int(steps)
     except ValueError as exc:
         raise argparse.ArgumentTypeError("expected a:b:steps") from exc
+    if steps < 1:
+        raise argparse.ArgumentTypeError(f"steps must be >= 1, got {steps}")
+    return a, b, steps
 
 
 def _resolve_output(path: str) -> str:
@@ -287,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma list from ddt,qfc,wronskian,fn (default all)")
 
     p = add("plot-data", _cmd_plot_data, help="CSV of f_n curves and the limit")
-    p.add_argument("--n", type=_int_list, default=[1, 2, 3, 4, 5])
+    p.add_argument("--n", type=_nonneg_int_list, default=[1, 2, 3, 4, 5])
     p.add_argument("--zeta-range", type=_zeta_range, default=(-6.0, 6.0, 600))
 
     p = add("verify-all", _cmd_verify_all, help="run every pipeline")

@@ -11,11 +11,12 @@ spins.  H commutes with translation, so it is diagonalized on the
 translation-invariant (k = 0) combinations of even-sector states, one per
 orbit under rotation, a space of dimension about 2^(L-1)/L; the ground state
 lies there, which the energy check against the closed form certifies.
-Every ground state comes from one Lanczos run (ARPACK) on the sparse k = 0
-matrix from a start vector seeded by L, so a result does not depend on what
-the process computed before; only L = 3, whose k = 0 sector has dimension 2,
-is solved densely.  The eigenvector is scattered back onto the even sector,
-where correlators are measured bond by bond.
+A k = 0 sector of dimension up to DENSE_DIM_MAX (L <= 13) is solved by dense
+`eigh`; a larger one by one Lanczos run (ARPACK) on the sparse k = 0 matrix
+from a start vector seeded by L, so a result does not depend on what the
+process computed before.  scipy is imported only on that path and by
+`sector_matrix(sparse=True)`.  The eigenvector is scattered back onto the
+even sector, where correlators are measured bond by bond.
 
 The eight-vertex transfer matrix comes from one site tensor, the R-matrix
 W[alpha, gamma, s', s].  `transfer_apply` multiplies a vector by T one site
@@ -31,8 +32,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+# numpy.random loads with the module, not inside the first solve or transfer
+# check: numpy does not import it, and scipy is imported only for ARPACK
+from numpy.random import default_rng
 
 from .thetanum import ThetaContext, modular_values, theta
 
@@ -63,6 +65,14 @@ L_MAX_TRANSFER = 15
 #: it the amplification alone lifts the residual past its bound
 L_MAX_LAMBDA_GATE = 9
 GAP_TOL = 1e-8
+#: largest k = 0 dimension solved by dense `eigh`; ARPACK above it.  Warm, per
+#: solve on a 2-vCPU Xeon: dense 0.07-0.13 / 0.7-1.6 / 10-13 / 154-168 ms at
+#: dimension 30 / 94 / 316 / 1096 (L = 9 / 11 / 13 / 15), `eigsh` 0.5-0.7 /
+#: 1.3-1.9 / 2.0-2.2 / 17-20 ms, and the first ARPACK solve in a process also
+#: pays about 0.25 s to import scipy.  Over a 10-point zeta sweep dense wins
+#: at 316 (0.1 s against 0.27 s) and loses at 1096 (1.7 s against 0.47 s), so
+#: the crossover lies between the two.
+DENSE_DIM_MAX = 512
 INVERSION_EXCLUSION = 1e-3
 
 
@@ -124,31 +134,47 @@ def _orbits(L: int, sec: np.ndarray):
     return orbit, reps, np.bincount(orbit)
 
 
-def _momentum_zero_matrix(L, couplings, orbit, reps, lengths) -> csr_matrix:
+def _momentum_zero_matrix(L, couplings, orbit, reps, lengths):
     """H in the normalised orbit basis |r> = N_r^(-1/2) sum of the N_r
-    rotations of r, as CSR.
+    rotations of r, as fixed-width arrays (cols, vals) of shape (n, L + 1):
+    row r of H is the sum of vals[r, i] at column cols[r, i].
 
     Row r holds, for each bond, the orbit r' of the flipped state with
     amplitude -(Jx - Jy zz)/2 sqrt(N_r/N_r'), then the diagonal; that row is
     column r of H, and H is symmetric.  Two bonds can lead to the same orbit,
-    and a hop can lead back into r's own, so a row may repeat a column; CSR
-    products and conversions sum repeated entries.
+    and a hop can lead back into r's own, so a row may repeat a column; every
+    consumer sums repeated entries.
     """
     Jx, Jy, Jz = couplings
     n = len(reps)
     root = np.sqrt(lengths)
-    width = L + 1
-    cols = np.empty((n, width), dtype=orbit.dtype)
-    vals = np.zeros((n, width))
+    # int32 is the index type CSR stores, so `_csr` takes cols without a copy
+    cols = np.empty((n, L + 1), dtype=np.int32)
+    vals = np.zeros((n, L + 1))
     cols[:, L] = np.arange(n)
     for j, (zz, partner) in enumerate(_bonds(L, reps)):
         vals[:, L] -= 0.5 * Jz * zz
         cols[:, j] = orbit[partner]
         vals[:, j] = -0.5 * (Jx - Jy * zz) * root / root[cols[:, j]]
+    return cols, vals
+
+
+def _csr(cols, vals):
+    """The fixed-width rows as scipy CSR, repeated columns kept as entries."""
+    from scipy.sparse import csr_matrix
+
+    n, width = cols.shape
     return csr_matrix(
         (vals.ravel(), cols.ravel(), np.arange(0, n * width + 1, width)),
         shape=(n, n),
     )
+
+
+def _dense(cols, vals) -> np.ndarray:
+    """The fixed-width rows scattered into a dense matrix."""
+    n, width = cols.shape
+    flat = np.repeat(np.arange(n) * n, width) + cols.ravel()
+    return np.bincount(flat, weights=vals.ravel(), minlength=n * n).reshape(n, n)
 
 
 @dataclass
@@ -177,8 +203,8 @@ class SpinOperator:
         ordered by their smallest member; the dimension is about 2^(L-1)/L.
         """
         orbit, reps, lengths = _orbits(self.L, self.sector_indices())
-        m = _momentum_zero_matrix(self.L, self.couplings, orbit, reps, lengths)
-        return m if sparse else m.toarray()
+        rows = _momentum_zero_matrix(self.L, self.couplings, orbit, reps, lengths)
+        return _csr(*rows) if sparse else _dense(*rows)
 
 
 def build_hamiltonian(L: int, zeta: float) -> SpinOperator:
@@ -207,31 +233,32 @@ class GroundState:
 
 
 def _ground_state(op: SpinOperator) -> GroundState:
-    """Two lowest eigenpairs of the k = 0 matrix, by Lanczos (ARPACK) from a
-    start vector seeded by L.  ARPACK needs k = 2 < dim; only L = 3 has a
-    k = 0 sector that small (dimension 2), and there dense `eigh` solves it.
-    The k = 0 coefficient c_r of orbit r becomes c_r / sqrt(N_r) on each of
-    its N_r even-sector states.
+    """Two lowest eigenpairs of the k = 0 matrix: by dense `eigh` up to
+    dimension DENSE_DIM_MAX, above it by Lanczos (ARPACK) from a start vector
+    seeded by L.  The k = 0 coefficient c_r of orbit r becomes c_r / sqrt(N_r)
+    on each of its N_r even-sector states.
     """
     sec = op.sector_indices()
     orbit, reps, lengths = _orbits(op.L, sec)
-    H = _momentum_zero_matrix(op.L, op.couplings, orbit, reps, lengths)
+    cols, vals = _momentum_zero_matrix(op.L, op.couplings, orbit, reps, lengths)
     n = len(reps)
-    if n > 2:
+    if n <= DENSE_DIM_MAX:
+        evals, vecs = np.linalg.eigh(_dense(cols, vals))
+    else:
+        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
         # Without a start vector ARPACK draws one from a generator whose
         # state persists across calls, so the result would depend on earlier
         # calls.
-        v0 = np.random.default_rng(op.L).standard_normal(n)
+        v0 = default_rng(op.L).standard_normal(n)
         try:
-            vals, vecs = eigsh(H, k=2, which="SA", v0=v0)
+            evals, vecs = eigsh(_csr(cols, vals), k=2, which="SA", v0=v0)
         except ArpackNoConvergence as exc:
             raise NoConvergence(str(exc)) from exc
-    else:
-        vals, vecs = np.linalg.eigh(H.toarray())
-    order = np.argsort(vals)
-    e0, e1 = vals[order[0]], vals[order[1]]
+    order = np.argsort(evals)
+    e0, e1 = evals[order[0]], evals[order[1]]
     c = vecs[:, order[0]]
-    residual = float(np.linalg.norm(H @ c - e0 * c))
+    residual = float(np.linalg.norm((vals * c[cols]).sum(axis=1) - e0 * c))
     scale = max(abs(e0), 1.0)
     gap = float((e1 - e0) / scale)
     if gap < GAP_TOL:
@@ -250,9 +277,10 @@ def ground_state_even_sector(L: int, zeta: float) -> GroundState:
     subsector, where the ground state lies: its energy is checked against
     -L (zeta^2 + 3)/4 by the callers.
 
-    Lanczos for the two lowest eigenvalues of the sparse k = 0 matrix, from
-    a start vector seeded by L; the result is verified by its residual and
-    relative gap, never assumed.
+    The two lowest eigenvalues of the k = 0 matrix come from dense `eigh` up
+    to dimension DENSE_DIM_MAX and from Lanczos on the sparse matrix, from a
+    start vector seeded by L, above it; the result is verified by its
+    residual and relative gap, never assumed.
     """
     return _ground_state(build_hamiltonian(L, zeta))
 
@@ -396,7 +424,7 @@ def transfer_checks(L: int, tau: complex, us=None) -> dict:
     psi = np.zeros(2**L)
     psi[state.sector] = state.vector
     ctx = ThetaContext(tau)
-    rng = np.random.default_rng(L)
+    rng = default_rng(L)
     v = rng.standard_normal(2**L) + 1j * rng.standard_normal(2**L)
     if us is None:
         us = [0.31, 0.77, 1.38, 2.02, 2.64]

@@ -140,6 +140,21 @@ def test_plot_data_csv(capsys, tmp_path):
     assert len(lines) == 6
 
 
+@pytest.mark.parametrize("argv", [
+    ["--n", "-1", "--zeta-range=0:1:2"],
+    ["--n", "1,-2", "--zeta-range=0:1:2"],
+    ["--zeta-range=0:1:-3"],
+    ["--zeta-range=0:1:0"],
+])
+def test_plot_data_usage_errors_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["plot-data", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "plot-data: error: argument" in captured.err
+
+
 def test_output_dir_env(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("SUSYXYZ_OUTPUT_DIR", str(tmp_path))
     code, _ = run(capsys, "fn", "--n", "0", "--output", "f0.json")
@@ -220,6 +235,27 @@ def test_cli_runs_its_exact_commands_without_numpy():
     blocked = _python(
         "import contextlib, io, json, sys\n"
         "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
+        "from susyxyz.cli import main\n"
+        "codes = []\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(main(argv))\n"
+        "print(json.dumps(codes))\n"
+    )
+    assert blocked.returncode == 0, blocked.stderr
+    assert json.loads(blocked.stdout) == [0] * len(commands)
+
+
+def test_cli_runs_its_small_ed_commands_without_scipy():
+    # dense eigh solves every k = 0 sector up to L = 13
+    commands = [
+        ["ed-verify"],
+        ["ed-verify", "--L", "13", "--transfer"],
+        ["verify-all", "--quick"],
+    ]
+    blocked = _python(
+        "import contextlib, io, json, sys\n"
+        "sys.modules['scipy'] = None\n"
         "from susyxyz.cli import main\n"
         "codes = []\n"
         f"for argv in {commands!r}:\n"

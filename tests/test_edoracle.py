@@ -1,5 +1,8 @@
 """Spin-chain oracle: energies, correlators, inferred f, transfer matrix."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -7,12 +10,15 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import eigsh
 
+import susyxyz
 from susyxyz.edoracle import (
     DEFAULT_ZETA_GRID,
+    DENSE_DIM_MAX,
     L_MAX,
     L_MAX_TRANSFER,
     NearSingularInversion,
     SizeLimit,
+    _orbits,
     _site_tensor,
     boltzmann_weights,
     build_from_couplings,
@@ -322,6 +328,56 @@ def test_ground_state_is_deterministic():
     assert np.array_equal(first.vector, second.vector)
 
 
+def test_arpack_ground_state_is_deterministic():
+    # L = 15 is above DENSE_DIM_MAX, so the seeded start vector is in play
+    first = ground_state_even_sector(15, 0.4)
+    eigsh(build_hamiltonian(7, -0.3).sector_matrix(sparse=True), k=2, which="SA")
+    second = ground_state_even_sector(15, 0.4)
+    assert first.energy == second.energy
+    assert np.array_equal(first.vector, second.vector)
+
+
+def test_only_the_arpack_branch_imports_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(susyxyz.__file__)))
+    script = (
+        "import sys\n"
+        "from susyxyz.edoracle import ground_state_even_sector\n"
+        "ground_state_even_sector(13, 0.4)\n"
+        "print('scipy' in sys.modules)\n"
+        "ground_state_even_sector(15, 0.4)\n"
+        "print('scipy.sparse.linalg' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "True"]
+
+
+@pytest.mark.parametrize("L", [13, 15])
+def test_dense_and_arpack_branches_agree_across_the_crossover(L):
+    # each side of DENSE_DIM_MAX against the other branch's solver
+    for zq in (Fraction(-3, 2), Fraction(2, 5), Fraction(5, 2)):
+        z = float(zq)
+        op = build_hamiltonian(L, z)
+        orbit, _, lengths = _orbits(L, op.sector_indices())
+        if L == 13:
+            assert len(lengths) <= DENSE_DIM_MAX
+            v0 = np.random.default_rng(L).standard_normal(len(lengths))
+            vals, vecs = eigsh(op.sector_matrix(sparse=True), k=2, which="SA", v0=v0)
+        else:
+            assert len(lengths) > DENSE_DIM_MAX
+            vals, vecs = np.linalg.eigh(op.sector_matrix(sparse=False))
+        order = np.argsort(vals)
+        e0, e1 = vals[order[0]], vals[order[1]]
+        ref = (vecs[:, order[0]] / np.sqrt(lengths))[orbit]
+        gs = ground_state_even_sector(L, z)
+        assert abs(gs.energy - e0) <= 1e-12 * abs(e0)
+        assert abs(gs.gap - (e1 - e0) / max(abs(e0), 1.0)) <= 1e-10
+        assert abs(np.dot(gs.vector, ref)) >= 1 - 1e-12
+
+
 def test_sector_ground_state_matches_full_space_reference():
     # dense diagonalization and full-space correlators as the reference
     L, z = 7, 0.37
@@ -491,6 +547,13 @@ def test_transfer_checks_are_deterministic():
     np.random.standard_normal(16)  # the unseeded global generator must not matter
     eigsh(build_hamiltonian(7, -0.3).sector_matrix(sparse=True), k=2, which="SA")
     assert transfer_checks(7, 1j) == first
+
+
+def test_transfer_checks_on_the_arpack_branch_are_deterministic():
+    first = transfer_checks(15, 1j)
+    np.random.standard_normal(16)
+    eigsh(build_hamiltonian(7, -0.3).sector_matrix(sparse=True), k=2, which="SA")
+    assert transfer_checks(15, 1j) == first
 
 
 def _patched_site_tensor(monkeypatch, change):
