@@ -1,8 +1,9 @@
 """Command-line entry point dispatching to every verification pipeline.
 
-The command only parses arguments and serializes reports: every verdict,
-bound and default belongs to the pipeline that computes it, so an omitted
-option takes the pipeline's own default.
+The command only parses arguments and serializes reports: every verdict
+and default belongs to the pipeline that computes it, so an omitted option
+takes the pipeline's own default, and every pass/fail bound is a constant
+of the module that owns the check, never an option.
 
 Exit codes: 0 all embedded assertions passed, 1 at least one verification
 failed (the JSON report carries the details), 2 usage error.  Output is
@@ -61,19 +62,6 @@ def _fraction_list(text: str) -> list[Fraction]:
     return [_fraction(x) for x in text.split(",") if x]
 
 
-def _check_list(text: str) -> list[str]:
-    # imported here: importing cli must not pull in numpy and scipy
-    from .qsolver import QSOLVE_CHECKS
-
-    names = [x for x in text.split(",") if x]
-    unknown = [x for x in names if x not in QSOLVE_CHECKS]
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown check {','.join(unknown)!r}; choose from {','.join(QSOLVE_CHECKS)}"
-        )
-    return names
-
-
 def _zeta_range(text: str) -> tuple[float, float, int]:
     try:
         a, b, steps = text.split(":")
@@ -127,6 +115,10 @@ def _jsonable(obj):
 def _cmd_tau(args) -> int:
     from .taurec import TauTable
 
+    if args.n_min > args.n_max:
+        raise argparse.ArgumentTypeError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
+    if args.check and args.n_max < 0:
+        raise argparse.ArgumentTypeError(f"--check needs --n-max >= 0, got {args.n_max}")
     table = TauTable()
     if args.check:
         return _verdict(table.check(args.n_max), args)
@@ -163,8 +155,7 @@ def _cmd_corr(args) -> int:
 def _cmd_ed_verify(args) -> int:
     from .edoracle import ed_verify
 
-    given = _given(args, "Ls", "zetas", "f_tol", "energy_tol", "spread_tol")
-    return _verdict(ed_verify(transfer=args.transfer, **given), args)
+    return _verdict(ed_verify(transfer=args.transfer, **_given(args, "Ls", "zetas")), args)
 
 
 def _cmd_pvi_verify(args) -> int:
@@ -176,19 +167,19 @@ def _cmd_pvi_verify(args) -> int:
 def _cmd_theta_suite(args) -> int:
     from .thetanum import identity_report
 
-    return _verdict(identity_report(args.tau, **_given(args, "seed", "tolerance")), args)
+    return _verdict(identity_report(args.tau, **_given(args, "seed")), args)
 
 
 def _cmd_finf(args) -> int:
     from .thetanum import baxter_f_infinity
 
-    return _verdict(baxter_f_infinity(args.tau, **_given(args, "tolerance")), args)
+    return _verdict(baxter_f_infinity(args.tau), args)
 
 
 def _cmd_qsolve(args) -> int:
     from .qsolver import qsolve_report
 
-    return _verdict(qsolve_report(args.n, args.tau, **_given(args, "checks")), args)
+    return _verdict(qsolve_report(args.n, args.tau), args)
 
 
 def _cmd_plot_data(args) -> int:
@@ -245,7 +236,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add(name, handler, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(handler=handler)
+        # a handler rejects a combination of values by ArgumentTypeError,
+        # which main reports as this subcommand's usage error
+        p.set_defaults(handler=handler, usage_error=p.error)
         p.add_argument("--output", help="write the report to this file instead of stdout")
         return p
 
@@ -267,9 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", dest="Ls", type=_length_list)
     p.add_argument("--zeta-grid", dest="zetas", type=_fraction_list)
     p.add_argument("--transfer", action="store_true")
-    p.add_argument("--f-tol", type=float)
-    p.add_argument("--energy-tol", type=float)
-    p.add_argument("--spread-tol", type=float)
 
     p = add("pvi-verify", _cmd_pvi_verify, help="symbolic Painleve VI certificates")
     p.add_argument("--n-max", type=_nonneg_int)
@@ -277,17 +267,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("theta-suite", _cmd_theta_suite, help="theta identity regression suite")
     p.add_argument("--tau", type=_tau_imag, default=1j)
     p.add_argument("--seed", type=int)
-    p.add_argument("--tolerance", type=float)
 
     p = add("finf", _cmd_finf, help="series vs closed-form infinite-lattice limit")
     p.add_argument("--tau", type=_tau_imag, required=True)
-    p.add_argument("--tolerance", type=float)
 
     p = add("qsolve", _cmd_qsolve, help="solve the Q-eigenvalue and verify")
     p.add_argument("--n", type=_nonneg_int, required=True)
     p.add_argument("--tau", type=_tau_imag, default=1j)
-    p.add_argument("--check", dest="checks", type=_check_list,
-                   help="comma list from ddt,qfc,wronskian,fn (default all)")
 
     p = add("plot-data", _cmd_plot_data, help="CSV of f_n curves and the limit")
     p.add_argument("--n", type=_nonneg_int_list, default=[1, 2, 3, 4, 5])
@@ -302,7 +288,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except argparse.ArgumentTypeError as exc:
+        args.usage_error(str(exc))
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ import numpy as np
 # check: numpy does not import it, and scipy is imported only for ARPACK
 from numpy.random import default_rng
 
-from .thetanum import ThetaContext, modular_values, theta
+from .thetanum import ThetaContext, modular_values, theta, theta_context
 
 __all__ = [
     "SizeLimit",
@@ -74,6 +74,21 @@ GAP_TOL = 1e-8
 #: the crossover lies between the two.
 DENSE_DIM_MAX = 512
 INVERSION_EXCLUSION = 1e-3
+
+#: ed_verify's bounds: per (L, zeta) sample the relative ground energy, the
+#: f agreement and the per-bond spread; per transfer check the eigenvalue
+#: residual relative to |lambda| and to ||T||, the commutator and the
+#: quasi-periodicity.  Then the nomes of the transfer checks and the points
+#: u at which transfer_checks tests the ground-state eigenvalue.
+ENERGY_TOL = 1e-10
+F_TOL = 1e-7
+SPREAD_TOL = 1e-9
+TRANSFER_LAMBDA_TOL = 1e-8
+TRANSFER_NORM_TOL = 1e-12
+TRANSFER_COMMUTATOR_TOL = 1e-9
+TRANSFER_QP_TOL = 1e-12
+TRANSFER_TAUS = (0.5j, 1j)
+TRANSFER_POINTS = (0.31, 0.77, 1.38, 2.02, 2.64)
 
 
 class SizeLimit(ValueError):
@@ -327,7 +342,7 @@ def infer_f(L: int, zeta: float) -> dict:
 def boltzmann_weights(u: complex, eta: float, tau: complex):
     """Theta-parametrized weights (a, b, c, d), normalized so that
     a + b = theta1(2 eta|tau)/theta1(eta|tau) * theta1(u|tau)."""
-    ctx = ThetaContext(tau)
+    ctx = theta_context(tau)
     c2 = ctx.scaled(2)
     rho = 2.0 / (theta(2, 0.0, ctx) * theta(4, 0.0, c2))
     t4e = theta(4, 2 * eta, c2)
@@ -403,7 +418,7 @@ def _norm_lower_bound(apply, xs: np.ndarray) -> np.ndarray:
     return best
 
 
-def transfer_checks(L: int, tau: complex, us=None) -> dict:
+def transfer_checks(L: int, tau: complex) -> dict:
     """Commutation, quasi-periodicity and the ground-state eigenvalue of the
     transfer family at the supersymmetric crossing parameter, matrix-free.
 
@@ -423,11 +438,10 @@ def transfer_checks(L: int, tau: complex, us=None) -> dict:
     state = ground_state_even_sector(L, zeta)
     psi = np.zeros(2**L)
     psi[state.sector] = state.vector
-    ctx = ThetaContext(tau)
+    ctx = theta_context(tau)
     rng = default_rng(L)
     v = rng.standard_normal(2**L) + 1j * rng.standard_normal(2**L)
-    if us is None:
-        us = [0.31, 0.77, 1.38, 2.02, 2.64]
+    us = TRANSFER_POINTS
     u1, u2 = 0.52, 1.91
     W = {u: _site_tensor(u, eta, tau) for u in (*us, u1, u2, u1 + np.pi)}
 
@@ -467,9 +481,7 @@ DEFAULT_ZETA_GRID = (
 )
 
 
-def ed_verify(Ls=(3, 5, 7, 9, 11), zetas=DEFAULT_ZETA_GRID, transfer=False,
-              transfer_taus=(0.5j, 1j), f_tol=1e-7, energy_tol=1e-10,
-              spread_tol=1e-9) -> dict:
+def ed_verify(Ls=(3, 5, 7, 9, 11), zetas=DEFAULT_ZETA_GRID, transfer=False) -> dict:
     """Diagonalize every (L, zeta) sample and compare with the exact pipeline.
 
     Checks, per sample: the closed-form ground energy (relative), three-way
@@ -477,12 +489,12 @@ def ed_verify(Ls=(3, 5, 7, 9, 11), zetas=DEFAULT_ZETA_GRID, transfer=False,
     translation invariance of the per-bond correlators, measured on the
     k = 0 eigenvector scattered onto the even sector.  Each sample also
     reports the k = 0 dimension, the relative k = 0 gap and the eigenpair
-    residual in that sector.  With ``transfer``, each (tau, L) with
-    L <= L_MAX_TRANSFER also gates the residuals of transfer_checks: the
-    eigenvalue residual relative to the ||T|| estimate at every L and
-    relative to |lambda| for L <= L_MAX_LAMBDA_GATE, the commutator and
-    quasi-periodicity.  A longer chain is reported as a SizeLimit skip.
-    A report in which no (L, zeta) sample was checked is not ok.
+    residual in that sector.  With ``transfer``, each (tau, L) with tau in
+    TRANSFER_TAUS and L <= L_MAX_TRANSFER also gates the residuals of
+    transfer_checks: the eigenvalue residual relative to the ||T|| estimate
+    at every L and relative to |lambda| for L <= L_MAX_LAMBDA_GATE, the
+    commutator and quasi-periodicity.  A longer chain is reported as a
+    SizeLimit skip.  A report in which no (L, zeta) sample was checked is not ok.
     """
     from .corrfn import f_zeta
 
@@ -519,9 +531,9 @@ def ed_verify(Ls=(3, 5, 7, 9, 11), zetas=DEFAULT_ZETA_GRID, transfer=False,
             entry["gap"] = inf["gap"]
             entry["residual"] = inf["residual"]
             entry["ok"] = (
-                entry["energy_residual"] < energy_tol
-                and entry["f_agreement"] < f_tol
-                and entry["per_bond_spread"] < spread_tol
+                entry["energy_residual"] < ENERGY_TOL
+                and entry["f_agreement"] < F_TOL
+                and entry["per_bond_spread"] < SPREAD_TOL
             )
             ok = ok and entry["ok"]
             samples.append(entry)
@@ -529,7 +541,7 @@ def ed_verify(Ls=(3, 5, 7, 9, 11), zetas=DEFAULT_ZETA_GRID, transfer=False,
     report = {"ok": ok, "samples": samples}
     if transfer:
         trs = []
-        for tau in transfer_taus:
+        for tau in TRANSFER_TAUS:
             for L in Ls:
                 try:
                     tc = transfer_checks(L, tau)
@@ -538,10 +550,10 @@ def ed_verify(Ls=(3, 5, 7, 9, 11), zetas=DEFAULT_ZETA_GRID, transfer=False,
                                 "skipped": type(exc).__name__, "reason": str(exc)})
                     continue
                 tc["ok"] = (
-                    (L > L_MAX_LAMBDA_GATE or tc["max_eigenvalue_residual"] < 1e-8)
-                    and tc["max_eigenvalue_residual_norm"] < 1e-12
-                    and tc["commutator_residual"] < 1e-9
-                    and tc["quasi_periodicity_residual"] < 1e-12
+                    (L > L_MAX_LAMBDA_GATE or tc["max_eigenvalue_residual"] < TRANSFER_LAMBDA_TOL)
+                    and tc["max_eigenvalue_residual_norm"] < TRANSFER_NORM_TOL
+                    and tc["commutator_residual"] < TRANSFER_COMMUTATOR_TOL
+                    and tc["quasi_periodicity_residual"] < TRANSFER_QP_TOL
                 )
                 ok = ok and tc["ok"]
                 trs.append(tc)

@@ -56,7 +56,6 @@ __all__ = [
     "Poly",
     "RatFunc",
     "variable",
-    "poly_divmod",
     "poly_exact_div",
     "poly_gcd",
     "ratfunc_simplify",
@@ -361,26 +360,6 @@ def variable(var: str = "z") -> Poly:
     return _new((0, 1), 1, var)
 
 
-def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder in Q[x], deg(remainder) < deg(b)."""
-    a._check_var(b)
-    if b.is_zero():
-        raise DivisionByZeroPoly("polynomial division by zero")
-    if a.degree < b.degree:
-        return Poly((), a.var), a
-    rem = list(a.coeffs)
-    db = b.degree
-    lb = b.leading
-    q = [Fraction(0)] * (a.degree - db + 1)
-    for k in range(a.degree - db, -1, -1):
-        c = rem[db + k] / lb
-        q[k] = c
-        if c != 0:
-            for i, bc in enumerate(b.coeffs):
-                rem[i + k] -= c * bc
-    return Poly(tuple(q), a.var), Poly(tuple(rem[:db]), a.var)
-
-
 def poly_exact_div(a: Poly, b: Poly) -> Poly:
     """Exact quotient a/b; raises NonzeroRemainder if b does not divide a."""
     a._check_var(b)
@@ -391,8 +370,7 @@ def poly_exact_div(a: Poly, b: Poly) -> Poly:
     cb = _int_gcd(*b.ints)
     q = _int_exact_quotient(a.ints, [c // cb for c in b.ints])
     if q is None:
-        _, r = poly_divmod(a, b)
-        raise NonzeroRemainder(f"({a}) is not divisible by ({b}); remainder {r}")
+        raise NonzeroRemainder(f"({a}) is not divisible by ({b})")
     # a/b = (a.ints/a.den) / ((cb/b.den) * pp(b.ints)) = q * b.den / (a.den * cb)
     return _scaled(q, b.den, a.den * cb, a.var)
 

@@ -51,19 +51,27 @@ __all__ = [
     "ddt_check",
     "qfc_check",
     "f_from_q",
-    "QSOLVE_CHECKS",
     "qsolve_report",
 ]
 
+#: ladder weights below this magnitude are dropped from the basis
 MULTIPLIER_CUT = 1e-30
+#: solve_q samples max(4 L, SOLVE_ROWS_MIN) rows; the Wronskian and ddt grid sizes
+SOLVE_ROWS_MIN = 48
+WRONSKIAN_SAMPLES = 20
+DDT_POINTS = 24
+#: qsolve_report's bounds: on the singular-value gap from below, on each
+#: residual (qfc's on either route) from above
 GAP_THRESHOLD = 1e6
-#: bound on the functional-equation residual at fresh points
 FE_BOUND = 1e-10
+WRONSKIAN_BOUND = 1e-8
+DDT_BOUND = 1e-7
+DDT_BETA_BOUND = 1e-7
+QFC_BOUND = 1e-7
+BRIDGE_BOUND = 1e-6
 #: the fresh points of qsolve_report's functional-equation check
 FRESH_POINTS = np.linspace(0.17, PI - 0.13, 50)
 UNIT_ROUNDOFF = 2.0**-53
-#: the optional checks of qsolve_report
-QSOLVE_CHECKS = ("ddt", "qfc", "wronskian", "fn")
 _SHIFTS = (0.0, 2 * PI / 3, -2 * PI / 3)
 
 
@@ -79,7 +87,7 @@ class GridDegenerate(ArithmeticError):
     """Too few usable grid points away from the singular set."""
 
 
-def _ladder_bank(n: int, tau: complex, cut: float = MULTIPLIER_CUT):
+def _ladder_bank(n: int, tau: complex):
     """Per free index k: arrays (j >= 0, weight) so that the basis function
     is g_k(u) = sum_j weight_j cos(j u), with the quasi-periodicity ladder
     and evenness folded in."""
@@ -93,7 +101,7 @@ def _ladder_bank(n: int, tau: complex, cut: float = MULTIPLIER_CUT):
         freqs: dict[int, complex] = {}
 
         def put(j, mult):
-            if j >= 0 and abs(mult) >= cut:
+            if j >= 0 and abs(mult) >= MULTIPLIER_CUT:
                 freqs[j] = mult * (1.0 if j == 0 else 2.0)
 
         m = 0
@@ -186,8 +194,7 @@ def _basis(bank, args) -> np.ndarray:
     )
 
 
-def solve_q(n: int, tau: complex, n_samples: int | None = None,
-            multiplier_cut: float = MULTIPLIER_CUT) -> QCoefficients:
+def solve_q(n: int, tau: complex) -> QCoefficients:
     """Solve the three-term functional equation for the Fourier ladder.
 
     Rows sample the relation at real points away from the zeros of
@@ -211,8 +218,8 @@ def solve_q(n: int, tau: complex, n_samples: int | None = None,
     """
     L = 2 * n + 1
     ctx = theta_context(tau)
-    bank = _ladder_bank(n, tau, cut=multiplier_cut)
-    M = n_samples or max(4 * L, 48)
+    bank = _ladder_bank(n, tau)
+    M = max(4 * L, SOLVE_ROWS_MIN)
     args = np.add.outer(np.linspace(0.1, PI - 0.1, M), _SHIFTS)
     phi = np.array([x**L for x in _theta1_rows(ctx, args).ravel().tolist()]).reshape(args.shape)
     A = np.zeros((M, n + 1), dtype=complex)
@@ -298,13 +305,13 @@ def _wronskian_constant(qc: QCoefficients) -> complex:
     )
 
 
-def wronskian_checks(qc: QCoefficients, n_samples: int = 20) -> dict:
+def wronskian_checks(qc: QCoefficients) -> dict:
     """The quadratic Wronskian relation at sample points, all scale-free."""
     ctx = theta_context(qc.tau)
     c32 = ctx.scaled(1.5)
     L = qc.L
     W = _wronskian_constant(qc)
-    us = np.linspace(0.07, PI - 0.07, n_samples)
+    us = np.linspace(0.07, PI - 0.07, WRONSKIAN_SAMPLES)
     a, b = us - PI / 3, us - 2 * PI / 3
     qs = q_eval(qc, np.stack([a, b, a + PI, b + PI], axis=1)).tolist()
     worst = 0.0
@@ -324,13 +331,13 @@ def wronskian_checks(qc: QCoefficients, n_samples: int = 20) -> dict:
         "max_relation_residual": worst,
         "third_point_instance_residual": instance,
         "antisymmetry_at_equal_args": anti,
-        "ok": worst < 1e-8 and instance < 1e-8,
+        "ok": worst < WRONSKIAN_BOUND and instance < WRONSKIAN_BOUND,
     }
 
 
 # working set 1 (q-sweep child: one nome at a time)
 @functools.lru_cache(maxsize=4)
-def _ddt_grid(tau: complex, n_points: int) -> tuple:
+def _ddt_grid(tau: complex) -> tuple:
     """ddt_check's grid, clear of the singular set, and the n-independent
     values on it, once per nome: theta1 and two derivatives at u, theta1
     and two derivatives at 3u and nome 3 tau, theta3 and two derivatives
@@ -338,7 +345,7 @@ def _ddt_grid(tau: complex, n_points: int) -> tuple:
     of the potential."""
     singular = (0.0, PI / 3, 2 * PI / 3, PI)
     grid = [
-        u for u in np.linspace(0.12, PI - 0.12, n_points).tolist()
+        u for u in np.linspace(0.12, PI - 0.12, DDT_POINTS).tolist()
         if min(abs(u - s) for s in singular) > 0.1
     ]
     if len(grid) < 4:
@@ -358,7 +365,7 @@ def _ddt_grid(tau: complex, n_points: int) -> tuple:
     return np.array(grid), {k: np.array(v) for k, v in values.items()}
 
 
-def ddt_check(qc: QCoefficients, n_points: int = 24) -> dict:
+def ddt_check(qc: QCoefficients) -> dict:
     """Fit (alpha, beta) in the relation (d^2/du^2 - V - alpha) F = beta G
     from two grid points and report the residual on the rest, plus the
     closed form of beta.
@@ -368,7 +375,7 @@ def ddt_check(qc: QCoefficients, n_points: int = 24) -> dict:
     G = theta4(3u/2|3tau/2) theta1^L q(u + pi) / (theta1(3u|3tau)^n
     theta3(3u/2|3tau/2)^2), all on the whole grid at once."""
     n, tau, L = qc.n, qc.tau, qc.L
-    us, v = _ddt_grid(tau, n_points)
+    us, v = _ddt_grid(tau)
     q0, q1, q2 = (q_eval(qc, us, order) for order in (0, 1, 2))
     q_pi = q_eval(qc, us + PI)
     th, th1, th2 = v["th"], v["th1"], v["th2"]
@@ -426,7 +433,7 @@ def ddt_check(qc: QCoefficients, n_points: int = 24) -> dict:
         "residual": worst,
         "fit_variation": fit_variation,
         "beta_closed_residual": abs(beta - beta_closed) / abs(beta_closed),
-        "ok": worst < 1e-7,
+        "ok": worst < DDT_BOUND,
     }
 
 
@@ -458,7 +465,7 @@ def qfc_check(qc: QCoefficients) -> dict:
         qc, 0.0, PI / 3
     )
     residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
-    return {"lhs": lhs, "rhs": rhs, "residual": residual, "ok": residual < 1e-7}
+    return {"lhs": lhs, "rhs": rhs, "residual": residual, "ok": residual < QFC_BOUND}
 
 
 def f_from_q(qc: QCoefficients) -> complex:
@@ -479,56 +486,37 @@ def f_from_q(qc: QCoefficients) -> complex:
     return first - second
 
 
-def qsolve_report(n: int, tau: complex, checks=QSOLVE_CHECKS) -> dict:
-    """Solve q at (n, tau) and check it: always the singular-value gap and
-    the functional equation at FRESH_POINTS, plus each check named in
-    ``checks``.  The Wronskian, ddt and qfc checks keep their own bounds;
-    the ddt beta closed form is held to 1e-7 and the bridge to the exact
-    f_n to 1e-6.  A null space the solve cannot isolate gives a report with
-    ``ok`` false and the gap next to GAP_THRESHOLD."""
+def qsolve_report(n: int, tau: complex) -> dict:
+    """Solve q at (n, tau) and run every check: the singular-value gap, the
+    functional equation at FRESH_POINTS, the Wronskian, ddt and qfc checks,
+    the ddt beta closed form and the bridge to the exact f_n, each against
+    its bound above.  A null space the solve cannot isolate gives a report
+    with ``ok`` false and the gap next to GAP_THRESHOLD."""
     try:
         qc = solve_q(n, tau)
     except NullspaceDegenerate as exc:
         return {"n": n, "tau_im": tau.imag, "nullspace_gap": exc.gap,
                 "gap_threshold": GAP_THRESHOLD, "ok": False}
-    report: dict = {
+    fe_residual = functional_equation_residual(qc, FRESH_POINTS)
+    w, d, qf, fq = wronskian_checks(qc), ddt_check(qc), qfc_check(qc), f_from_q(qc)
+    fe = float(f_zeta(n).evaluate(modular_values(tau).zeta.real))
+    return {
         "n": n,
         "tau_im": tau.imag,
         "nullspace_gap": qc.nullspace_gap,
         "route": qc.route,
         "cancellation": qc.cancellation,
-        "fresh_point_residual": functional_equation_residual(qc, FRESH_POINTS),
+        "fresh_point_residual": fe_residual,
+        "wronskian": {k: w[k] for k in ("max_relation_residual", "third_point_instance_residual")},
+        "ddt": {k: d[k] for k in ("alpha", "beta", "residual", "beta_closed_residual")},
+        "qfc_residual": qf["residual"],
+        "f_from_q": fq,
+        "f_exact": fe,
+        "f_bridge_residual": abs(fq - fe),
+        "ok": (qc.nullspace_gap >= GAP_THRESHOLD and fe_residual < FE_BOUND and w["ok"]
+               and d["ok"] and d["beta_closed_residual"] < DDT_BETA_BOUND and qf["ok"]
+               and abs(fq - fe) < BRIDGE_BOUND),
     }
-    ok = qc.nullspace_gap >= GAP_THRESHOLD and report["fresh_point_residual"] < FE_BOUND
-    if "wronskian" in checks:
-        w = wronskian_checks(qc)
-        report["wronskian"] = {
-            "max_relation_residual": w["max_relation_residual"],
-            "third_point_instance_residual": w["third_point_instance_residual"],
-        }
-        ok = ok and w["ok"]
-    if "ddt" in checks:
-        d = ddt_check(qc)
-        report["ddt"] = {
-            "alpha": d["alpha"],
-            "beta": d["beta"],
-            "residual": d["residual"],
-            "beta_closed_residual": d["beta_closed_residual"],
-        }
-        ok = ok and d["ok"] and d["beta_closed_residual"] < 1e-7
-    if "qfc" in checks:
-        qf = qfc_check(qc)
-        report["qfc_residual"] = qf["residual"]
-        ok = ok and qf["ok"]
-    if "fn" in checks:
-        fq = f_from_q(qc)
-        fe = float(f_zeta(n).evaluate(modular_values(tau).zeta.real))
-        report["f_from_q"] = fq
-        report["f_exact"] = fe
-        report["f_bridge_residual"] = abs(fq - fe)
-        ok = ok and report["f_bridge_residual"] < 1e-6
-    report["ok"] = ok
-    return report
 
 
 # -- the extended-precision kernel ------------------------------------------
@@ -1009,7 +997,7 @@ class _ExtendedQ:
         residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
         phase2 = self.phase**2
         return {"lhs": phase2 * (lhs / (1 << w)), "rhs": phase2 * (rhs / (1 << w)),
-                "residual": residual, "ok": residual < 1e-7}
+                "residual": residual, "ok": residual < QFC_BOUND}
 
 
 def _extend(qc: QCoefficients) -> QCoefficients:

@@ -130,6 +130,8 @@ class TauTable:
     def check(self, n_max: int) -> dict:
         """The recursion residuals on [-n_max, n_max], the XXZ specialization
         and the zero structure, as one report."""
+        if n_max < 0:
+            raise ValueError(f"n_max must be >= 0, got {n_max}")
         self.ensure(-n_max - 1)
         self.ensure(n_max + 1)
         residuals_ok = all(

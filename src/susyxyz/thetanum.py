@@ -56,6 +56,16 @@ __all__ = [
 
 PI = math.pi
 
+#: the relative bound of modular_values' cross-checks; identity_report's
+#: bounds (see LEMMA_RESIDUALS) and the number of seeded argument tuples of
+#: identity_suite; the bound on baxter_f_infinity's series against the
+#: closed form
+MODULAR_TOLERANCE = 1e-12
+LEMMA_TOLERANCE = 1e-10
+IDENTITY_TOLERANCE = 1e-11
+IDENTITY_SAMPLES = 20
+BAXTER_TOLERANCE = 1e-9
+
 
 class TruncationFailure(ArithmeticError):
     """Theta series failed to converge within max_terms."""
@@ -243,7 +253,7 @@ def theta_product(j: int, u: complex, ctx: ThetaContext) -> complex:
 
 # -- Weierstrass P ------------------------------------------------------
 
-def weierstrass_p(u: complex, w1: complex, w2: complex, eps: float = 1e-15) -> complex:
+def weierstrass_p(u: complex, w1: complex, w2: complex) -> complex:
     """Weierstrass P for the lattice Z*w1 + Z*w2, normalized so the
     expansion at 0 is 1/u^2 + O(u^2) (no constant term).
 
@@ -309,9 +319,9 @@ class ModularValues:
         return (self.zeta + 3) / (self.zeta - 1)
 
 
-def modular_values(tau: complex, tol: float = 1e-12) -> ModularValues:
+def modular_values(tau: complex) -> ModularValues:
     """All modular quantities at eta = pi/3, with redundant formulas
-    cross-checked against each other to ``tol``."""
+    cross-checked against each other to MODULAR_TOLERANCE."""
     ctx = theta_context(tau)
     ch = ctx.scaled(0.5)
     zeta = zeta_of_eta(PI / 3, tau)
@@ -331,7 +341,7 @@ def modular_values(tau: complex, tol: float = 1e-12) -> ModularValues:
         "susy_Gamma": (Gamma, (zeta**2 - 1) / 2),
     }
     for name, (a, b) in checks.items():
-        if abs(a - b) > tol * max(abs(a), abs(b), 1.0):
+        if abs(a - b) > MODULAR_TOLERANCE * max(abs(a), abs(b), 1.0):
             raise CrossCheckFailure(f"{name}: {a} vs {b}")
     return ModularValues(zeta=zeta, Gamma=Gamma, z=z, gamma_sq=gamma**2, chi=chi)
 
@@ -350,20 +360,18 @@ def _rand_u(rng: random.Random, tau: complex) -> complex:
 #: (finite-difference eta derivatives, Taylor-coefficient ratios, removable
 #: 0/0 limits raised to powers, couplings at generic eta), whose round-off
 #: exceeds that of one identity: they are held to LEMMA_TOLERANCE, the rest
-#: to IDENTITY_TOLERANCE unless a report asks for another bound.
+#: to IDENTITY_TOLERANCE.
 LEMMA_RESIDUALS = frozenset({
     "coupling_combination_product",
     "eta_derivative_determinant",
     "taylor_combination",
     "prefactor_chain",
 })
-LEMMA_TOLERANCE = 1e-10
-IDENTITY_TOLERANCE = 1e-11
 
 
-def identity_suite(tau: complex, seed: int = 0, samples: int = 20) -> dict:
+def identity_suite(tau: complex, seed: int = 0) -> dict:
     """Max relative residual of every theta identity the package relies on,
-    at ``samples`` seeded pseudo-random argument tuples."""
+    at IDENTITY_SAMPLES seeded pseudo-random argument tuples."""
     rng = random.Random(seed)
     ctx = theta_context(tau)
     c2 = ctx.scaled(2)
@@ -397,7 +405,7 @@ def identity_suite(tau: complex, seed: int = 0, samples: int = 20) -> dict:
 
     tripl_pref = qpochhammer(p**6, p**6) / qpochhammer(p**2, p**2) ** 3
 
-    for _ in range(samples):
+    for _ in range(IDENTITY_SAMPLES):
         u = _rand_u(rng, tau)
         x, y, v, w = (_rand_u(rng, tau) for _ in range(4))
 
@@ -488,17 +496,17 @@ def identity_suite(tau: complex, seed: int = 0, samples: int = 20) -> dict:
     return res
 
 
-def identity_report(tau: complex, seed: int = 0, tolerance: float = IDENTITY_TOLERANCE) -> dict:
+def identity_report(tau: complex, seed: int = 0) -> dict:
     """The identity suite at one nome, each residual held to its bound:
-    LEMMA_TOLERANCE for the LEMMA_RESIDUALS entries, ``tolerance`` for the
-    others."""
+    LEMMA_TOLERANCE for the LEMMA_RESIDUALS entries, IDENTITY_TOLERANCE for
+    the others."""
     res = identity_suite(tau, seed=seed)
     return {
         "tau_im": complex(tau).imag,
         "seed": seed,
         "residuals": dict(sorted(res.items())),
         "ok": all(
-            value < (LEMMA_TOLERANCE if name in LEMMA_RESIDUALS else tolerance)
+            value < (LEMMA_TOLERANCE if name in LEMMA_RESIDUALS else IDENTITY_TOLERANCE)
             for name, value in res.items()
         ),
     }
@@ -589,13 +597,13 @@ def _energy_series_terms(eta: complex, tau: complex, max_terms: int = 400,
     raise SeriesDivergence("energy series did not converge")
 
 
-def baxter_f_infinity(tau: complex, tolerance: float = 1e-9) -> dict:
+def baxter_f_infinity(tau: complex) -> dict:
     """Infinite-lattice limit of f_n from the energy series, compared with
     the closed form in zeta.
 
     Returns {"series": ..., "closed": ..., "diff": ..., "ok": diff <
-    tolerance}; the two routes are fully independent apart from the shared
-    theta evaluations.
+    BAXTER_TOLERANCE}; the two routes are fully independent apart from the
+    shared theta evaluations.
     """
     tau = complex(tau)
     if abs(tau.real) > 1e-12 or tau.imag <= 0:
@@ -632,5 +640,5 @@ def baxter_f_infinity(tau: complex, tolerance: float = 1e-9) -> dict:
         "closed": closed,
         "diff": diff,
         "zeta": zr,
-        "ok": diff < tolerance,
+        "ok": diff < BAXTER_TOLERANCE,
     }

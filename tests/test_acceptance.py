@@ -71,20 +71,16 @@ def test_criterion_3_symmetry():
 
 
 def test_criterion_4_oracle_equivalence():
+    from susyxyz import edoracle
     from susyxyz.edoracle import DEFAULT_ZETA_GRID, ed_verify
 
+    stated = (edoracle.F_TOL, edoracle.ENERGY_TOL, edoracle.SPREAD_TOL) == (1e-7, 1e-10, 1e-9)
     t0 = time.monotonic()
-    rep = ed_verify(
-        Ls=(3, 5, 7, 9, 11),
-        zetas=DEFAULT_ZETA_GRID,
-        f_tol=1e-7,
-        energy_tol=1e-10,
-        spread_tol=1e-9,
-    )
+    rep = ed_verify(Ls=(3, 5, 7, 9, 11), zetas=DEFAULT_ZETA_GRID)
     elapsed = time.monotonic() - t0
     complete = all("skipped" not in s for s in rep["samples"])
     _report(4, "diagonalization oracle equivalence (L <= 11)",
-            rep["ok"] and complete and elapsed < 300.0)
+            stated and rep["ok"] and complete and elapsed < 300.0)
 
 
 def test_criterion_5_xxz_specialization():
@@ -112,12 +108,12 @@ def test_criterion_6_painleve_bridge():
 
 
 def test_criterion_7_identity_suite():
-    from susyxyz.thetanum import LEMMA_RESIDUALS, identity_suite
+    from susyxyz.thetanum import IDENTITY_SAMPLES, LEMMA_RESIDUALS, identity_suite
 
     t0 = time.monotonic()
-    ok = True
+    ok = IDENTITY_SAMPLES == 20
     for tau in (0.5j, 1j, 2j):
-        res = identity_suite(tau, seed=20, samples=20)
+        res = identity_suite(tau, seed=20)
         for name, value in res.items():
             ok = ok and value < (1e-10 if name in LEMMA_RESIDUALS else 1e-11)
     elapsed = time.monotonic() - t0

@@ -1,14 +1,17 @@
 """Command-line surface: wire formats, exit codes, determinism."""
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import susyxyz
-from susyxyz.cli import main
+from susyxyz.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -67,10 +70,36 @@ def test_usage_errors_exit_2(capsys):
         main(["finf", "--tau", "-1.0"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["tau", "--n-min", "5", "--n-max", "3"], "--n-min 5 exceeds --n-max 3"),
+    (["tau", "--check", "--n-max", "-3"], "--check needs --n-max >= 0, got -3"),
+])
+def test_tau_range_without_entries_exits_2(capsys, argv, message):
+    # an empty range would print no entries, or a check of nothing, and exit 0
     with pytest.raises(SystemExit) as exc:
-        main(["qsolve", "--n", "0", "--check", "wronskain"])
+        main(argv)
     assert exc.value.code == 2
-    assert "wronskain" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"susyxyz tau: error: {message}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ed-verify", "--L", "3", "--f-tol", "1"],
+    ["ed-verify", "--L", "3", "--energy-tol", "1"],
+    ["ed-verify", "--L", "3", "--spread-tol", "1"],
+    ["theta-suite", "--tolerance", "1"],
+    ["finf", "--tau", "1.0", "--tolerance", "1"],
+    ["qsolve", "--n", "0", "--check", "wronskian"],
+])
+def test_bounds_and_check_sets_are_not_options(capsys, argv):
+    # every pass/fail bound and check set is a constant of its pipeline
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_ed_verify_small(capsys):
@@ -121,13 +150,6 @@ def test_qsolve_without_an_isolated_null_space_exits_1(capsys):
     rep = json.loads(out)
     assert rep["ok"] is False
     assert rep["nullspace_gap"] < rep["gap_threshold"] == 1e6
-
-
-def test_qsolve_check_selection(capsys):
-    code, out = run(capsys, "qsolve", "--n", "0", "--check", "wronskian")
-    assert code == 0
-    rep = json.loads(out)
-    assert "wronskian" in rep and "ddt" not in rep
 
 
 def test_plot_data_csv(capsys, tmp_path):
@@ -190,10 +212,12 @@ def test_ed_verify_transfer_reports_skipped_lengths(capsys):
     ]
 
 
-def test_failed_assertion_exits_1(capsys):
-    # an unattainable tolerance must flip the exit code, never crash
-    code, out = run(capsys, "ed-verify", "--L", "3", "--zeta-grid", "1/5",
-                    "--f-tol", "1e-30")
+def test_failed_assertion_exits_1(capsys, monkeypatch):
+    # an unattainable bound must flip the exit code, never crash
+    from susyxyz import edoracle
+
+    monkeypatch.setattr(edoracle, "F_TOL", 1e-30)
+    code, out = run(capsys, "ed-verify", "--L", "3", "--zeta-grid", "1/5")
     assert code == 1
     assert json.loads(out)["ok"] is False
 
@@ -308,3 +332,34 @@ def test_verify_all_quick(capsys):
     assert rep["ok"] is True
     for key in SECTIONS:
         assert rep[key] is True
+
+
+def _workflow_argvs() -> list[list[str]]:
+    """Every argv list the CI workflow passes to main, one per value of the
+    step's shell loop where the list reads sys.argv[1]."""
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+    argvs = []
+    for step in workflow.read_text().split("- name:"):
+        loop = re.search(r"for \w+ in ([^;]+); do", step)
+        for literal in re.findall(r"main\((\[.*?\])\)", step):
+            if "sys.argv[1]" in literal:
+                assert loop, f"no shell loop gives sys.argv[1] in {literal}"
+                argvs += [ast.literal_eval(literal.replace("sys.argv[1]", repr(value)))
+                          for value in loop.group(1).split()]
+            else:
+                argvs.append(ast.literal_eval(literal))
+    return argvs
+
+
+def test_ci_workflow_passes_only_existing_options(capsys):
+    # CI runs only on the hosted service, so a step that still passes a
+    # removed option would fail nowhere else
+    argvs = _workflow_argvs()
+    assert ["verify-all"] in argvs
+    assert ["qsolve", "--n", "12", "--tau", "2.0"] in argvs
+    parser = _build_parser()
+    for argv in argvs:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"the workflow passes {argv}: {capsys.readouterr().err}")

@@ -508,7 +508,8 @@ def test_ed_verify_gates_transfer_residuals(monkeypatch, key):
     import susyxyz.edoracle as edoracle
 
     real = edoracle.transfer_checks
-    args = dict(Ls=(3,), zetas=(Fraction(2, 5),), transfer=True, transfer_taus=(1j,))
+    monkeypatch.setattr(edoracle, "TRANSFER_TAUS", (1j,))
+    args = dict(Ls=(3,), zetas=(Fraction(2, 5),), transfer=True)
     rep = ed_verify(**args)
     assert rep["ok"] is True
     assert rep["transfer"][0][key] < 1e-12
@@ -520,6 +521,21 @@ def test_ed_verify_gates_transfer_residuals(monkeypatch, key):
     rep = ed_verify(**args)
     assert rep["transfer"][0]["ok"] is False
     assert rep["ok"] is False
+
+
+@pytest.mark.parametrize("bound", [
+    "ENERGY_TOL", "F_TOL", "SPREAD_TOL", "TRANSFER_LAMBDA_TOL", "TRANSFER_NORM_TOL",
+    "TRANSFER_COMMUTATOR_TOL", "TRANSFER_QP_TOL",
+])
+def test_ed_verify_reads_each_bound(monkeypatch, bound):
+    import susyxyz.edoracle as edoracle
+
+    monkeypatch.setattr(edoracle, "TRANSFER_TAUS", (1j,))
+    args = dict(Ls=(3,), zetas=(Fraction(2, 5),), transfer=True)
+    assert ed_verify(**args)["ok"] is True
+    # no residual is below 0, so the verdict turns if and only if it reads the bound
+    monkeypatch.setattr(edoracle, bound, 0.0)
+    assert ed_verify(**args)["ok"] is False
 
 
 def test_transfer_checks_match_dense_reference():
@@ -595,9 +611,25 @@ def test_norm_gate_catches_wrong_eigenvalue(monkeypatch, L):
 
     # u = 0.31 at tau = 0.5i has the largest ||T||/|lambda| of the defaults,
     # 1.9e11 at L = 15, so a wrong lambda reads smallest there
-    us = (0.31,)
-    rep = transfer_checks(L, 0.5j, us=us)
+    monkeypatch.setattr(edoracle, "TRANSFER_POINTS", (0.31,))
+    rep = transfer_checks(L, 0.5j)
     assert rep["max_eigenvalue_residual_norm"] < 1e-12
     monkeypatch.setattr(edoracle, "_ground_eigenvalue",
                         lambda L, u, ctx: theta(1, u, ctx) ** (L - 1))
-    assert transfer_checks(L, 0.5j, us=us)["max_eigenvalue_residual_norm"] > 1e-12
+    assert transfer_checks(L, 0.5j)["max_eigenvalue_residual_norm"] > 1e-12
+
+
+def test_repeated_transfer_checks_build_no_theta_context(monkeypatch):
+    # every context comes from theta_context, so a second call reuses the
+    # first call's objects and theta's memo compares them by identity
+    transfer_checks(3, 0.5j)
+    built = []
+    real = ThetaContext.__post_init__
+
+    def counting(self):
+        built.append(self.tau)
+        real(self)
+
+    monkeypatch.setattr(ThetaContext, "__post_init__", counting)
+    transfer_checks(3, 0.5j)
+    assert built == []

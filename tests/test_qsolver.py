@@ -137,13 +137,17 @@ def test_f_from_q_other_tau():
         assert abs(fq - fe) < 1e-6
 
 
-def test_residual_stable_under_refinement(solved):
+def test_residual_stable_under_refinement(solved, monkeypatch):
     # doubling the sampling and deepening the ladder truncation leaves the
     # ddt residual within a factor 10 (convergence audit)
     base = ddt_check(solved[2])["residual"]
-    fine = ddt_check(solve_q(2, TAU, n_samples=96))["residual"]
+    with monkeypatch.context() as patch:
+        patch.setattr(qsolver, "SOLVE_ROWS_MIN", 96)
+        fine = ddt_check(solve_q(2, TAU))["residual"]
     assert fine < 10 * max(base, 1e-15)
-    deep = ddt_check(solve_q(2, TAU, multiplier_cut=1e-60))["residual"]
+    with monkeypatch.context() as patch:
+        patch.setattr(qsolver, "MULTIPLIER_CUT", 1e-60)
+        deep = ddt_check(solve_q(2, TAU))["residual"]
     assert deep < 10 * max(base, 1e-15)
 
 
@@ -349,10 +353,10 @@ def _cell_bits(n, tau):
 
 
 @pytest.mark.parametrize("before", [
-    dict(n=8, tau=0.5j), dict(n=12, tau=0.5j), dict(n=5, tau=0.5j, multiplier_cut=1e-60),
+    dict(n=8, tau=0.5j), dict(n=12, tau=0.5j), dict(n=5, tau=0.5j, cut=1e-60),
     dict(n=5, tau=0.6j),
 ])
-def test_routed_cell_does_not_depend_on_earlier_cells(before):
+def test_routed_cell_does_not_depend_on_earlier_cells(monkeypatch, before):
     # a routed cell's tables and nome values are built at its own precision
     # and guard, so a cell run first, at the same nome with more terms or a
     # deeper ladder or at another nome, leaves its precision and every bit
@@ -362,7 +366,9 @@ def test_routed_cell_does_not_depend_on_earlier_cells(before):
     fresh = _cell_bits(5, 0.5j)
     qsolver._trig_table.cache_clear()
     qsolver._nome.cache_clear()
-    assert solve_q(**before).route == "extended"
+    with monkeypatch.context() as patch:
+        patch.setattr(qsolver, "MULTIPLIER_CUT", before.get("cut", qsolver.MULTIPLIER_CUT))
+        assert solve_q(before["n"], before["tau"]).route == "extended"
     assert _cell_bits(5, 0.5j) == fresh
 
 
@@ -394,6 +400,20 @@ def test_qsolve_passes_every_check_at_n_12(t):
     rep = qsolve_report(12, 1j * t)
     assert rep["ok"] is True and rep["route"] == "extended"
     assert rep["cancellation"] > 0
+
+
+@pytest.mark.parametrize("bound, n, tau", [
+    ("GAP_THRESHOLD", 2, 1j), ("FE_BOUND", 2, 1j), ("WRONSKIAN_BOUND", 2, 1j),
+    ("DDT_BOUND", 2, 1j), ("DDT_BETA_BOUND", 2, 1j), ("QFC_BOUND", 2, 1j),
+    ("QFC_BOUND", 3, 0.7j), ("BRIDGE_BOUND", 2, 1j),
+])
+def test_qsolve_report_reads_each_bound(monkeypatch, bound, n, tau):
+    # (3, 0.7i) takes the extended route, whose qfc is formed apart
+    assert qsolve_report(n, tau)["ok"] is True
+    # no residual is below 0 and no gap reaches infinity, so the verdict
+    # turns if and only if it reads the bound
+    monkeypatch.setattr(qsolver, bound, np.inf if bound == "GAP_THRESHOLD" else 0.0)
+    assert qsolve_report(n, tau)["ok"] is False
 
 
 def test_qsolve_reports_an_unisolated_null_space():

@@ -3,6 +3,8 @@
 import time
 from fractions import Fraction
 
+import pytest
+
 from susyxyz.exactcore import Poly
 from susyxyz.taurec import TauTable
 
@@ -75,6 +77,13 @@ def test_zero_structure():
     assert t.sbar(-2).coeffs[0] == 0
     assert t.s(2).evaluate(Fraction(0)) == 1
     assert t.sbar(0).evaluate(Fraction(0)) == 1
+
+
+def test_check_refuses_an_empty_range():
+    # at n_max < 0 no residual and no XXZ value would be checked
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        TauTable().check(-3)
+    assert TauTable().check(0)["ok"] is True
 
 
 def test_full_default_range_within_budget():

@@ -9,6 +9,7 @@ import struct
 import numpy as np
 import pytest
 
+from susyxyz import thetanum
 from susyxyz.thetanum import (
     LEMMA_RESIDUALS,
     PI,
@@ -286,6 +287,26 @@ def test_baxter_limit_consistent_with_piecewise_curve():
         rep = baxter_f_infinity(tau)
         # 0 < zeta < 1 lands in the middle regime of the piecewise form
         assert abs(rep["closed"] - f_infinity(rep["zeta"])) < 1e-12
+
+
+@pytest.mark.parametrize("bound, report", [
+    ("IDENTITY_TOLERANCE", "identity_report"),
+    ("LEMMA_TOLERANCE", "identity_report"),
+    ("BAXTER_TOLERANCE", "baxter_f_infinity"),
+])
+def test_reports_read_each_bound(monkeypatch, bound, report):
+    check = getattr(thetanum, report)
+    assert check(1j)["ok"] is True
+    # no residual is below 0, so the verdict turns if and only if it reads the bound
+    monkeypatch.setattr(thetanum, bound, 0.0)
+    assert check(1j)["ok"] is False
+
+
+def test_modular_values_reads_its_bound(monkeypatch):
+    modular_values(1j)
+    monkeypatch.setattr(thetanum, "MODULAR_TOLERANCE", 0.0)
+    with pytest.raises(CrossCheckFailure):
+        modular_values(1j)
 
 
 def test_zeta_of_eta_monotone_entry():
