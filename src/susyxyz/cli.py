@@ -113,13 +113,13 @@ def _jsonable(obj):
 # -- subcommand handlers -------------------------------------------------
 
 def _cmd_tau(args) -> int:
-    from .taurec import TauTable
+    from .taurec import default_table
 
     if args.n_min > args.n_max:
         raise argparse.ArgumentTypeError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     if args.check and args.n_max < 0:
         raise argparse.ArgumentTypeError(f"--check needs --n-max >= 0, got {args.n_max}")
-    table = TauTable()
+    table = default_table()
     if args.check:
         return _verdict(table.check(args.n_max), args)
     _emit({"entries": table.dump(args.n_min, args.n_max)}, args)
@@ -136,20 +136,11 @@ def _cmd_fn(args) -> int:
 
 
 def _cmd_corr(args) -> int:
-    from .corrfn import correlations, sum_rule_residual
+    from .corrfn import correlation_report
 
-    tri = correlations(args.n, args.zeta)
-    res = sum_rule_residual(tri, args.zeta)
-    payload = {
-        "n": args.n,
-        "zeta": str(args.zeta),
-        "cx": str(tri.cx),
-        "cy": str(tri.cy),
-        "cz": str(tri.cz),
-        "sum_rule_residual": str(res),
-    }
-    _emit(payload, args)
-    return 0 if res == 0 else 1
+    report, ok = correlation_report(args.n, args.zeta)
+    _emit(report, args)
+    return 0 if ok else 1
 
 
 def _cmd_ed_verify(args) -> int:
@@ -199,21 +190,17 @@ def _cmd_plot_data(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    from .corrfn import REFERENCE_F_IN_Z, f_in_Z
+    from .corrfn import fn_table_matches
     from .edoracle import ed_verify
-    from .exactcore import ratfunc_to_json
     from .pvi import pvi_verify
     from .qsolver import qsolve_report
-    from .taurec import TauTable
+    from .taurec import default_table
     from .thetanum import baxter_f_infinity, identity_report
 
     quick = args.quick
     summary = {
-        "tau": TauTable().check(5 if quick else 9)["ok"],
-        "fn_table": all(
-            ratfunc_to_json(f_in_Z(n)) == {"variable": "Z", "num": num, "den": den}
-            for n, (num, den) in REFERENCE_F_IN_Z.items()
-        ),
+        "tau": default_table().check(5 if quick else 9)["ok"],
+        "fn_table": fn_table_matches(),
         "ed_verify": ed_verify(Ls=[3, 5, 7] if quick else [3, 5, 7, 9, 11],
                                transfer=True)["ok"],
         "pvi_verify": pvi_verify(3 if quick else 5)["ok"],

@@ -15,6 +15,7 @@ a final structural verification, so the solve cannot affect correctness.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,9 +25,10 @@ from .exactcore import (
     homogeneous_powers,
     ratfunc_compose,
     ratfunc_simplify,
+    ratfunc_to_json,
     variable,
 )
-from .taurec import TauTable, default_table
+from .taurec import default_table
 
 __all__ = [
     "PoleEncountered",
@@ -39,8 +41,10 @@ __all__ = [
     "f_zeta",
     "f_in_Z",
     "REFERENCE_F_IN_Z",
+    "fn_table_matches",
     "fn_pair",
     "correlations",
+    "correlation_report",
     "sum_rule_residual",
     "symmetry_residual",
     "f_infinity",
@@ -96,25 +100,18 @@ def _at_inv_zeta_sq(p: Poly) -> RatFunc:
     )
 
 
-_fz_cache: dict[int, RatFunc] = {}
-
-
-def f_zeta(n: int, table: TauTable | None = None) -> RatFunc:
-    """f_n as a fully simplified rational function of zeta."""
-    if table is None:
-        if n in _fz_cache:
-            return _fz_cache[n]
-        table = default_table()
+@functools.cache
+def f_zeta(n: int) -> RatFunc:
+    """f_n as a fully simplified rational function of zeta, from the
+    default tau table."""
+    table = default_table()
     L2 = (2 * n + 1) ** 2
     first = ratfunc_simplify((_Z2 + 3) * (_Z2 - 3), (_Z2 - 1) ** 2)
     pref = ratfunc_simplify(2 * _Z2 * (_Z2 + 3), L2 * (_Z2 - 1) ** 2)
     ratio = (_at_inv_zeta_sq(table.sbar(n)) * _at_inv_zeta_sq(table.sbar(-n - 1))) / (
         _at_inv_zeta_sq(table.s(n)) * _at_inv_zeta_sq(table.s(-n - 1))
     )
-    f = first - pref * ratio
-    if table is default_table():
-        _fz_cache[n] = f
-    return f
+    return first - pref * ratio
 
 
 # -- reduction of f_n to a rational function of Z ----------------------
@@ -134,9 +131,7 @@ def _coordinates(h: Poly, basis: list[Poly]) -> list[Fraction] | None:
     return coeffs
 
 
-_fZ_cache: dict[int, RatFunc] = {}
-
-
+@functools.cache
 def f_in_Z(n: int) -> RatFunc:
     """f_n as a rational function of Z, verified exactly against f_zeta(n).
 
@@ -149,8 +144,6 @@ def f_in_Z(n: int) -> RatFunc:
     with Z(zeta) and comparing with f_zeta(n) structurally is the
     correctness certificate.
     """
-    if n in _fZ_cache:
-        return _fZ_cache[n]
     fz = f_zeta(n)
     d = -(-max(fz.num.degree, fz.den.degree) // 6)
     basis = homogeneous_powers(Z_OF_ZETA.num, Z_OF_ZETA.den, d)
@@ -159,7 +152,6 @@ def f_in_Z(n: int) -> RatFunc:
     if num is not None and den is not None:
         cand = ratfunc_simplify(Poly(tuple(num), "Z"), Poly(tuple(den), "Z"))
         if ratfunc_compose(cand, Z_OF_ZETA) == fz:
-            _fZ_cache[n] = cand
             return cand
     raise ReconstructionFailed(
         f"no rational function of Z with degrees <= {d} matches f_{n}"
@@ -179,6 +171,14 @@ REFERENCE_F_IN_Z = {
         ["7422987", "1615471", "137940", "5808", "121", "1"],
     ),
 }
+
+
+def fn_table_matches() -> bool:
+    """Whether f_in_Z reproduces every entry of REFERENCE_F_IN_Z exactly."""
+    return all(
+        ratfunc_to_json(f_in_Z(n)) == {"variable": "Z", "num": num, "den": den}
+        for n, (num, den) in REFERENCE_F_IN_Z.items()
+    )
 
 
 def fn_pair(n: int) -> FnRational:
@@ -203,6 +203,16 @@ def correlations(n: int, zeta: Fraction) -> CorrelationTriple:
         cy=1 - (1 + zeta) ** 2 * f / s,
         cz=1 - 4 * f / s,
     )
+
+
+def correlation_report(n: int, zeta: Fraction) -> tuple[dict, bool]:
+    """The exact correlation triple at zeta with its energy sum-rule
+    residual, and whether that residual is exactly zero."""
+    zeta = Fraction(zeta)
+    tri = correlations(n, zeta)
+    res = sum_rule_residual(tri, zeta)
+    return ({"n": n, "zeta": zeta, "cx": tri.cx, "cy": tri.cy, "cz": tri.cz,
+             "sum_rule_residual": res}, res == 0)
 
 
 def sum_rule_residual(triple: CorrelationTriple, zeta: Fraction) -> Fraction:

@@ -50,7 +50,6 @@ class SingularTransform(ArithmeticError):
 
 
 _S = variable("s")
-_ONE_S = RatFunc.constant(1, "s")
 
 #: time curve shared by every point of the orbit
 T_OF_S = ratfunc_simplify(_S * (_S + 2) ** 3, (2 * _S + 1) ** 3)

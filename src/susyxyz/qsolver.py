@@ -16,7 +16,9 @@ redone in extended precision (the kernel at the end of this module), and
 All verification quantities built here (Wronskian relation, the
 differential-difference relation between q(u) and q(u + pi), its Taylor
 corollary, and the correlation bridge) are invariant under rescaling the
-solution vector, so no normalization is ever imposed.
+solution vector, so no normalization is ever imposed.  The checks return
+measurements only; ``qsolve_report`` holds each against its bound below and
+forms the one verdict.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import cmath
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,7 +43,6 @@ from .thetanum import (
 
 __all__ = [
     "NullspaceDegenerate",
-    "GridDegenerate",
     "QCoefficients",
     "solve_q",
     "q_eval",
@@ -60,8 +61,9 @@ MULTIPLIER_CUT = 1e-30
 SOLVE_ROWS_MIN = 48
 WRONSKIAN_SAMPLES = 20
 DDT_POINTS = 24
-#: qsolve_report's bounds: on the singular-value gap from below, on each
-#: residual (qfc's on either route) from above
+#: the bounds qsolve_report holds each check to: on the singular-value gap
+#: from below, on each residual (qfc's on either route) from above; solve_q
+#: also refuses a gap below GAP_THRESHOLD and routes by FE_BOUND
 GAP_THRESHOLD = 1e6
 FE_BOUND = 1e-10
 WRONSKIAN_BOUND = 1e-8
@@ -73,6 +75,9 @@ BRIDGE_BOUND = 1e-6
 FRESH_POINTS = np.linspace(0.17, PI - 0.13, 50)
 UNIT_ROUNDOFF = 2.0**-53
 _SHIFTS = (0.0, 2 * PI / 3, -2 * PI / 3)
+#: cos(j pi/3) = _C6[j % 6] / 2 and sin(j pi/3) = _S6[j % 6] sqrt(3) / 2
+_C6 = (2, 1, -1, -2, -1, 1)
+_S6 = (0, 1, 1, 0, -1, -1)
 
 
 class NullspaceDegenerate(ArithmeticError):
@@ -83,43 +88,32 @@ class NullspaceDegenerate(ArithmeticError):
         self.gap = gap
 
 
-class GridDegenerate(ArithmeticError):
-    """Too few usable grid points away from the singular set."""
-
-
 def _ladder_bank(n: int, tau: complex):
-    """Per free index k: arrays (j >= 0, weight) so that the basis function
-    is g_k(u) = sum_j weight_j cos(j u), with the quasi-periodicity ladder
-    and evenness folded in."""
+    """Per free index k: arrays (j >= 0, weight, 2e) so that the basis
+    function is g_k(u) = sum_j weight_j cos(j u), with the quasi-periodicity
+    ladder and evenness folded in: j = k + mL or mL - k carries the weight
+    p^e, p = exp(i pi tau), at the ladder exponent e = (L m^2 +- 2mk) / 2,
+    doubled by evenness at j > 0."""
     L = 2 * n + 1
-
-    def power(e):
-        return cmath.exp(1j * PI * tau * e)
-
     bank = []
     for k in range(n + 1):
-        freqs: dict[int, complex] = {}
-
-        def put(j, mult):
-            if j >= 0 and abs(mult) >= MULTIPLIER_CUT:
-                freqs[j] = mult * (1.0 if j == 0 else 2.0)
-
+        rungs: dict[int, int] = {}          # j -> 2e
         m = 0
         while True:
-            e_up = m * k + L * m * m / 2.0        # j = k + mL
-            e_dn = -m * k + L * m * m / 2.0       # j = -k + mL
-            if m > 2 and min(e_up, e_dn) * PI * complex(tau).imag > 80.0:
+            up, dn = 2 * m * k + L * m * m, -2 * m * k + L * m * m
+            if m > 2 and min(up, dn) / 2 * PI * complex(tau).imag > 80.0:
                 break
-            put(k + m * L, power(e_up))
-            put(-(k + m * L), power(e_up))        # mirror, same weight
-            if k != 0:
-                put(-k + m * L, power(e_dn))
-                put(k - m * L, power(e_dn))
+            rungs[k + m * L] = up
+            if m:
+                rungs[m * L - k] = dn
             m += 1
-        items = sorted(freqs.items())
-        bank.append(
-            (np.array([j for j, _ in items]), np.array([w for _, w in items]))
-        )
+        rows = []
+        for j, two_e in sorted(rungs.items()):
+            weight = cmath.exp(1j * PI * tau * (two_e / 2))
+            if abs(weight) >= MULTIPLIER_CUT:
+                rows.append((j, weight * (1.0 if j == 0 else 2.0), two_e))
+        js, ws, two_es = zip(*rows)
+        bank.append((np.array(js), np.array(ws), np.array(two_es)))
     return bank
 
 
@@ -130,7 +124,6 @@ class QCoefficients:
     n: int
     tau: complex
     free: np.ndarray            # c_0 .. c_n
-    base: np.ndarray            # c_0 .. c_{L-1} via the evenness relation
     nullspace_gap: float
     singular_values: np.ndarray
     bank: list
@@ -160,15 +153,8 @@ def q_eval(qc: QCoefficients, u, order: int = 0):
         return qc.extended.q_eval(u, order)
     x = np.asarray(u)
     total = 0j
-    for ck, (js, ws) in zip(qc.free, qc.bank):
-        arg = np.multiply.outer(x, js)
-        if order == 0:
-            basis = np.cos(arg)
-        elif order == 1:
-            basis = -js * np.sin(arg)
-        else:
-            basis = -(js**2) * np.cos(arg)
-        total = total + ck * np.add.reduce(ws * basis, axis=-1)
+    for ck, g in zip(qc.free, _basis(qc.bank, x, order)):
+        total = total + ck * g
     return complex(total) if x.ndim == 0 else total
 
 
@@ -186,12 +172,20 @@ def _theta1_cached(ctx, shape: tuple, raw: bytes) -> np.ndarray:
     return np.array(theta(1, args.ravel().tolist(), ctx)).reshape(shape)
 
 
-def _basis(bank, args) -> np.ndarray:
-    """g_k at every argument, stacked on a last axis over k."""
-    return np.stack(
-        [np.add.reduce(ws * np.cos(np.multiply.outer(args, js)), axis=-1) for js, ws in bank],
-        axis=-1,
-    )
+def _basis(bank, args, order: int = 0) -> list:
+    """The order-th derivative of g_k = sum_j w_j cos(j u) at every argument,
+    one array per k: the one cosine-bank sum of the module."""
+    columns = []
+    for js, ws, _ in bank:
+        arg = np.multiply.outer(args, js)
+        if order == 0:
+            basis = np.cos(arg)
+        elif order == 1:
+            basis = -js * np.sin(arg)
+        else:
+            basis = -(js**2) * np.cos(arg)
+        columns.append(np.add.reduce(ws * basis, axis=-1))
+    return columns
 
 
 def solve_q(n: int, tau: complex) -> QCoefficients:
@@ -222,16 +216,11 @@ def solve_q(n: int, tau: complex) -> QCoefficients:
     M = max(4 * L, SOLVE_ROWS_MIN)
     args = np.add.outer(np.linspace(0.1, PI - 0.1, M), _SHIFTS)
     phi = np.array([x**L for x in _theta1_rows(ctx, args).ravel().tolist()]).reshape(args.shape)
-    A = np.zeros((M, n + 1), dtype=complex)
-    scale = np.zeros(M)
-    for k, (js, ws) in enumerate(bank):
-        terms = phi * np.add.reduce(ws * np.cos(np.multiply.outer(args, js)), axis=-1)
-        for i in range(3):
-            A[:, k] += terms[:, i]
-        scale = np.maximum(scale, np.abs(terms).max(axis=1))
+    terms = phi[..., None] * np.stack(_basis(bank, args), axis=-1)
     # normalize by the term scale, not the assembled row: rows in the
     # null direction are near zero by construction
-    A /= np.maximum(scale, 1e-300)[:, None]
+    scale = np.abs(terms).max(axis=(1, 2))
+    A = (terms[:, 0] + terms[:, 1] + terms[:, 2]) / np.maximum(scale, 1e-300)[:, None]
     _, sing, vh = np.linalg.svd(A, full_matrices=False)
     if n == 0:
         gap = 1.0 / sing[-1] if sing[-1] > 0 else math.inf
@@ -243,7 +232,7 @@ def solve_q(n: int, tau: complex) -> QCoefficients:
             float(gap),
         )
     free = np.conj(vh[-1])
-    qc = QCoefficients(n=n, tau=tau, free=free, base=_base(free, n, tau), nullspace_gap=float(gap),
+    qc = QCoefficients(n=n, tau=tau, free=free, nullspace_gap=float(gap),
                        singular_values=sing, bank=bank, route="double",
                        cancellation=_cancellation(free, bank))
     if UNIT_ROUNDOFF * qc.cancellation >= 1e-2 * FE_BOUND and complex(tau).real == 0:
@@ -251,25 +240,26 @@ def solve_q(n: int, tau: complex) -> QCoefficients:
     return qc
 
 
-def _base(free, n: int, tau: complex) -> np.ndarray:
-    """c_0 .. c_{L-1} from the free coefficients by the evenness relation."""
-    L = 2 * n + 1
-    p = cmath.exp(1j * PI * tau)
-    base = np.zeros(L, dtype=complex)
-    base[: n + 1] = free
-    for k in range(1, n + 1):
-        base[L - k] = p ** (L / 2 - k) * free[k]
-    return base
-
-
 def _cancellation(free, bank) -> float:
     """The cancellation factor of q on the functional-equation check's grid
     (FRESH_POINTS and its shifts by +-2 pi/3): the largest ratio of
     sum_k |c_k g_k(u)| to |q(u)|, by which round-off in the cosine sum is
     magnified in q."""
-    terms = free * _basis(bank, np.add.outer(FRESH_POINTS, _SHIFTS))
+    terms = free * np.stack(_basis(bank, np.add.outer(FRESH_POINTS, _SHIFTS)), axis=-1)
     q = np.maximum(np.abs(terms.sum(axis=-1)), 1e-300)
     return float((np.abs(terms).sum(axis=-1) / q).max())
+
+
+def _phi_jet(th, th1, th2, L: int) -> tuple:
+    """phi = theta1^L and its first two derivatives, from theta1's."""
+    return (th**L, L * th ** (L - 1) * th1,
+            L * (L - 1) * th ** (L - 2) * th1**2 + L * th ** (L - 1) * th2)
+
+
+def _half_period_q(qc: QCoefficients) -> tuple:
+    """q'(pi + pi tau/2) and q(pi tau/2), whose ratio enters the closed form
+    of ddt's beta, qfc's right side and the bridge."""
+    return q_eval(qc, PI + PI * qc.tau / 2, 1), q_eval(qc, PI * qc.tau / 2)
 
 
 def functional_equation_residual(qc: QCoefficients, us) -> float:
@@ -306,7 +296,8 @@ def _wronskian_constant(qc: QCoefficients) -> complex:
 
 
 def wronskian_checks(qc: QCoefficients) -> dict:
-    """The quadratic Wronskian relation at sample points, all scale-free."""
+    """The quadratic Wronskian relation at sample points, all scale-free;
+    qsolve_report holds both residuals to WRONSKIAN_BOUND."""
     ctx = theta_context(qc.tau)
     c32 = ctx.scaled(1.5)
     L = qc.L
@@ -331,7 +322,6 @@ def wronskian_checks(qc: QCoefficients) -> dict:
         "max_relation_residual": worst,
         "third_point_instance_residual": instance,
         "antisymmetry_at_equal_args": anti,
-        "ok": worst < WRONSKIAN_BOUND and instance < WRONSKIAN_BOUND,
     }
 
 
@@ -348,8 +338,6 @@ def _ddt_grid(tau: complex) -> tuple:
         u for u in np.linspace(0.12, PI - 0.12, DDT_POINTS).tolist()
         if min(abs(u - s) for s in singular) > 0.1
     ]
-    if len(grid) < 4:
-        raise GridDegenerate("not enough grid points clear of the singular set")
     ctx = theta_context(tau)
     c3, c32 = ctx.scaled(3), ctx.scaled(1.5)
     u3 = [3 * u for u in grid]
@@ -373,15 +361,13 @@ def ddt_check(qc: QCoefficients) -> dict:
     F = theta1^L q / (theta1(3u|3tau)^n theta3(3u/2|3tau/2)) with F''
     analytic (no numerical differentiation), and
     G = theta4(3u/2|3tau/2) theta1^L q(u + pi) / (theta1(3u|3tau)^n
-    theta3(3u/2|3tau/2)^2), all on the whole grid at once."""
+    theta3(3u/2|3tau/2)^2), all on the whole grid at once.  qsolve_report
+    holds the residual to DDT_BOUND and the closed form's to DDT_BETA_BOUND."""
     n, tau, L = qc.n, qc.tau, qc.L
     us, v = _ddt_grid(tau)
     q0, q1, q2 = (q_eval(qc, us, order) for order in (0, 1, 2))
     q_pi = q_eval(qc, us + PI)
-    th, th1, th2 = v["th"], v["th1"], v["th2"]
-    phi = th**L
-    phi1 = L * th ** (L - 1) * th1
-    phi2 = L * (L - 1) * th ** (L - 2) * th1**2 + L * th ** (L - 1) * th2
+    phi, phi1, phi2 = _phi_jet(v["th"], v["th1"], v["th2"], L)
     N = phi * q0
     N1 = phi1 * q0 + phi * q1
     N2 = phi2 * q0 + 2 * phi1 * q1 + phi * q2
@@ -423,17 +409,14 @@ def ddt_check(qc: QCoefficients) -> dict:
         abs(beta - beta2) / max(abs(beta), 1e-300),
     )
     c32 = theta_context(tau).scaled(1.5)
-    beta_closed = (
-        -3j * theta(3, 0.0, c32) * theta(4, 0.0, c32)
-        * q_eval(qc, PI + PI * tau / 2, 1) / q_eval(qc, PI * tau / 2)
-    )
+    qp, qh = _half_period_q(qc)
+    beta_closed = -3j * theta(3, 0.0, c32) * theta(4, 0.0, c32) * qp / qh
     return {
         "alpha": alpha,
         "beta": beta,
         "residual": worst,
         "fit_variation": fit_variation,
         "beta_closed_residual": abs(beta - beta_closed) / abs(beta_closed),
-        "ok": worst < DDT_BOUND,
     }
 
 
@@ -441,19 +424,14 @@ def qfc_check(qc: QCoefficients) -> dict:
     """Taylor corollary of the differential-difference relation; both sides
     quadratic in q, hence scale-free.  On the extended route both sides are
     evaluated wholly in extended precision: the left side is a small
-    remainder of its terms, so in double its residual measures round-off."""
+    remainder of its terms, so in double its residual measures round-off.
+    qsolve_report holds the residual to QFC_BOUND on either route."""
     if qc.extended is not None:
         return qc.extended.qfc()
     n, tau = qc.n, qc.tau
     ctx = theta_context(tau)
     E = expansion_E(n, ctx)
-    th = theta(1, PI / 3, ctx)
-    th1 = theta(1, PI / 3, ctx, 1)
-    th2 = theta(1, PI / 3, ctx, 2)
-    L = qc.L
-    phi = th**L
-    phi1 = L * th ** (L - 1) * th1
-    phi2 = L * (L - 1) * th ** (L - 2) * th1**2 + L * th ** (L - 1) * th2
+    phi, phi1, phi2 = _phi_jet(*(theta(1, PI / 3, ctx, r) for r in range(3)), qc.L)
     q_third = q_eval(qc, PI / 3)
     qphi2 = q_eval(qc, PI / 3, 2) * phi + 2 * q_eval(qc, PI / 3, 1) * phi1 + q_third * phi2
     lhs = (
@@ -461,11 +439,10 @@ def qfc_check(qc: QCoefficients) -> dict:
         + (2 * n - 1) * q_eval(qc, 0.0) * qphi2 / phi
         + 2 * (2 * n + 1) * E * q_eval(qc, 0.0) * q_third
     )
-    rhs = 3j * q_eval(qc, PI + PI * tau / 2, 1) / q_eval(qc, PI * tau / 2) * alternant(
-        qc, 0.0, PI / 3
-    )
+    qp, qh = _half_period_q(qc)
+    rhs = 3j * qp / qh * alternant(qc, 0.0, PI / 3)
     residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
-    return {"lhs": lhs, "rhs": rhs, "residual": residual, "ok": residual < QFC_BOUND}
+    return {"lhs": lhs, "rhs": rhs, "residual": residual}
 
 
 def f_from_q(qc: QCoefficients) -> complex:
@@ -477,7 +454,8 @@ def f_from_q(qc: QCoefficients) -> complex:
     c32 = theta_context(tau).scaled(1.5)
     ratio_theta = theta(1, 0.0, c32, 1) / theta(2, 0.0, c32)
     ratio_phi = alternant(qc, 0.0, PI / 3) / alternant(qc, PI, PI / 3)
-    ratio_q = q_eval(qc, PI + PI * tau / 2, 1) / q_eval(qc, PI * tau / 2)
+    qp, qh = _half_period_q(qc)
+    ratio_q = qp / qh
     first = (g**2 - 3) * (g**2 + 3) / (g**2 - 1) ** 2
     second = (
         3j * (g**2 + 3) / ((2 * n + 1) * mv.chi * (g - 1) ** 2)
@@ -490,8 +468,9 @@ def qsolve_report(n: int, tau: complex) -> dict:
     """Solve q at (n, tau) and run every check: the singular-value gap, the
     functional equation at FRESH_POINTS, the Wronskian, ddt and qfc checks,
     the ddt beta closed form and the bridge to the exact f_n, each against
-    its bound above.  A null space the solve cannot isolate gives a report
-    with ``ok`` false and the gap next to GAP_THRESHOLD."""
+    its bound above: this is the one place the Q pipeline's verdict is
+    formed.  A null space the solve cannot isolate gives a report with
+    ``ok`` false and the gap next to GAP_THRESHOLD."""
     try:
         qc = solve_q(n, tau)
     except NullspaceDegenerate as exc:
@@ -513,9 +492,11 @@ def qsolve_report(n: int, tau: complex) -> dict:
         "f_from_q": fq,
         "f_exact": fe,
         "f_bridge_residual": abs(fq - fe),
-        "ok": (qc.nullspace_gap >= GAP_THRESHOLD and fe_residual < FE_BOUND and w["ok"]
-               and d["ok"] and d["beta_closed_residual"] < DDT_BETA_BOUND and qf["ok"]
-               and abs(fq - fe) < BRIDGE_BOUND),
+        "ok": (qc.nullspace_gap >= GAP_THRESHOLD and fe_residual < FE_BOUND
+               and w["max_relation_residual"] < WRONSKIAN_BOUND
+               and w["third_point_instance_residual"] < WRONSKIAN_BOUND
+               and d["residual"] < DDT_BOUND and d["beta_closed_residual"] < DDT_BETA_BOUND
+               and qf["residual"] < QFC_BOUND and abs(fq - fe) < BRIDGE_BOUND),
     }
 
 
@@ -770,13 +751,11 @@ class _Nome:
         w2 = 1 << w
         m = [2 * k + 1 for k in range(len(self.odd1))]
         sgn = [(-1) ** k for k in range(len(self.odd1))]
-        s6 = (0, 1, 1, 0, -1, -1)
-        c6 = (2, 1, -1, -2, -1, 1)
         root3 = math.isqrt(3 << 2 * w)
-        # theta1, theta1', theta1'' at pi/3 (sin(m pi/3) = s6 sqrt3/2, cos = c6/2)
-        th = root3 * sum(g * a * s6[mm % 6] for g, a, mm in zip(sgn, self.odd1, m)) >> w
-        th1 = sum(g * a * mm * c6[mm % 6] for g, a, mm in zip(sgn, self.odd1, m))
-        th2 = -root3 * sum(g * a * mm * mm * s6[mm % 6] for g, a, mm in zip(sgn, self.odd1, m)) >> w
+        # theta1, theta1', theta1'' at pi/3
+        th = root3 * sum(g * a * _S6[mm % 6] for g, a, mm in zip(sgn, self.odd1, m)) >> w
+        th1 = sum(g * a * mm * _C6[mm % 6] for g, a, mm in zip(sgn, self.odd1, m))
+        th2 = -root3 * sum(g * a * mm * mm * _S6[mm % 6] for g, a, mm in zip(sgn, self.odd1, m)) >> w
         self.a1 = (th1 << w) // th                     # theta1'/theta1 at pi/3
         self.a2 = (th2 << w) // th                     # theta1''/theta1 at pi/3
         self.root3 = root3
@@ -844,25 +823,17 @@ class _ExtendedQ:
     qfc's two sides."""
 
     def __init__(self, qc: QCoefficients, bits: int):
-        n, L = qc.n, qc.L
-        self.n, self.L, self.bits = n, L, bits
+        self.n, self.L, self.bits = qc.n, qc.L, bits
         # guard bits below the cell's precision keep the smallest weight of
         # the bank to ``bits`` bits relative
-        cut = min(abs(w) for _, ws in qc.bank for w in ws)
+        cut = min(abs(w) for _, ws, _ in qc.bank for w in ws)
         self.nome = _nome(float(complex(qc.tau).imag), bits,
                           bits + max(128, math.ceil(-math.log2(cut)) + 16))
         self.w = self.nome.w
         # the bank's frequencies with their k, exponent 2e of h and factor
-        self.freqs = []
-        for k, (js, _) in enumerate(qc.bank):
-            for f in js.tolist():
-                if (f - k) % L == 0:
-                    m = (f - k) // L
-                    two_e = 2 * m * k + L * m * m
-                else:
-                    m = (f + k) // L
-                    two_e = -2 * m * k + L * m * m
-                self.freqs.append((f, k, two_e, 1 if f == 0 else 2))
+        self.freqs = [(f, k, two_e, 1 if f == 0 else 2)
+                      for k, (js, _, two_es) in enumerate(qc.bank)
+                      for f, two_e in zip(js.tolist(), two_es.tolist())]
         self.F = max(f for f, *_ in self.freqs) + 1
         pivot = int(np.argmax(np.abs(qc.free)))
         self.phase = complex(qc.free[pivot])
@@ -906,7 +877,7 @@ class _ExtendedQ:
         phi_d = np.array([x / scale for x in phi]).reshape(_REFINE_ROWS, 3)
         table = _table("refine", bits, self.F)
         args = np.add.outer(np.linspace(0.1, PI - 0.1, _REFINE_ROWS), _SHIFTS)
-        G = _basis([(js, ws.real) for js, ws in qc.bank], args)
+        G = np.stack(_basis([(js, ws.real, two_es) for js, ws, two_es in qc.bank], args), axis=-1)
         A = (phi_d[:, :, None] * G).sum(axis=1)
         weight = 1.0 / np.abs(A).max(axis=1)
         others = [k for k in range(n + 1) if k != pivot]
@@ -964,15 +935,13 @@ class _ExtendedQ:
         cos and sin at multiples of pi/3 and of cosh and sinh at pi tau/2."""
         nm, n, L, w = self.nome, self.n, self.L, self.w
         y = self._y()
-        c6 = (2, 1, -1, -2, -1, 1)
-        s6 = (0, 1, 1, 0, -1, -1)
 
         def q(j, order):
             # q^(order)(j pi / 3) at w bits
             if order == 1:
-                total = -sum(f * v * s6[f * j % 6] for f, v in enumerate(y))
+                total = -sum(f * v * _S6[f * j % 6] for f, v in enumerate(y))
                 return total * nm.root3 >> (w + 1)
-            return sum((-f * f if order else 1) * v * c6[f * j % 6] for f, v in enumerate(y)) >> 1
+            return sum((-f * f if order else 1) * v * _C6[f * j % 6] for f, v in enumerate(y)) >> 1
 
         def mul(*xs):
             out = 1 << w
@@ -997,14 +966,10 @@ class _ExtendedQ:
         residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
         phase2 = self.phase**2
         return {"lhs": phase2 * (lhs / (1 << w)), "rhs": phase2 * (rhs / (1 << w)),
-                "residual": residual, "ok": residual < QFC_BOUND}
+                "residual": residual}
 
 
 def _extend(qc: QCoefficients) -> QCoefficients:
     """Redo a cell on the extended route."""
     ext = _ExtendedQ(qc, _precision_bits(qc))
-    free = ext.coefficients()
-    return QCoefficients(n=qc.n, tau=qc.tau, free=free, base=_base(free, qc.n, qc.tau),
-                         nullspace_gap=qc.nullspace_gap, singular_values=qc.singular_values,
-                         bank=qc.bank, route="extended", cancellation=qc.cancellation,
-                         extended=ext)
+    return replace(qc, free=ext.coefficients(), route="extended", extended=ext)

@@ -57,10 +57,6 @@ class TauTable:
         self._lo = 0
         self._hi = 1
 
-    @property
-    def range(self) -> tuple[int, int]:
-        return self._lo, self._hi
-
     def ensure(self, n: int):
         while self._hi < n:
             m = self._hi  # solve at index m for m+1

@@ -70,7 +70,7 @@ def test_f_in_Z_failure_names_the_degree(monkeypatch):
 
     # zeta^7 is odd, so no rational function of Z matches it; ceil(7/6) = 2
     zeta = variable("zeta")
-    monkeypatch.setattr(corrfn, "_fZ_cache", {})
+    corrfn.f_in_Z.cache_clear()
     monkeypatch.setattr(corrfn, "f_zeta", lambda n: RatFunc.from_poly(zeta**7))
     with pytest.raises(corrfn.ReconstructionFailed, match="degrees <= 2 matches f_3"):
         f_in_Z(3)

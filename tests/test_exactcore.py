@@ -330,7 +330,7 @@ def test_exact_div_low_only_remainder():
         poly_exact_div(P(2), P(-1, 1))
 
 
-def test_prs_fallback_reproduces_results(monkeypatch):
+def test_prs_fallback_reproduces_results(monkeypatch, request):
     from susyxyz import corrfn, exactcore, pvi
     from susyxyz.corrfn import REFERENCE_F_IN_Z
 
@@ -343,8 +343,10 @@ def test_prs_fallback_reproduces_results(monkeypatch):
 
     monkeypatch.setattr(exactcore, "_heuristic_gcd", lambda a, b: None)
     monkeypatch.setattr(exactcore, "_prs_gcd", counting_prs_gcd)
-    monkeypatch.setattr(corrfn, "_fz_cache", {})
-    monkeypatch.setattr(corrfn, "_fZ_cache", {})
+    # f_n is computed afresh on the fallback and not kept for later tests
+    for memo in (corrfn.f_zeta, corrfn.f_in_Z):
+        memo.cache_clear()
+        request.addfinalizer(memo.cache_clear)
     monkeypatch.setattr(pvi, "_orbit", [])
     for n, (num, den) in REFERENCE_F_IN_Z.items():
         got = ratfunc_to_json(corrfn.f_in_Z(n))

@@ -104,7 +104,7 @@ def test_qfc_relation(solved):
 
 def test_qfc_scale_invariance(solved):
     qc = solved[1]
-    scaled = dataclasses.replace(qc, free=10 * qc.free, base=10 * qc.base)
+    scaled = dataclasses.replace(qc, free=10 * qc.free)
     r1 = qfc_check(qc)["residual"]
     r2 = qfc_check(scaled)["residual"]
     assert abs(r1 - r2) < 1e-12
@@ -137,6 +137,36 @@ def test_f_from_q_other_tau():
         assert abs(fq - fe) < 1e-6
 
 
+def _ladder_exponent(j, k, L):
+    # 2e of frequency j in the basis function of free index k: j = k + mL
+    # sits at e = L m^2 / 2 + mk, j = mL - k at L m^2 / 2 - mk
+    if (j - k) % L == 0:
+        m = (j - k) // L
+        return L * m * m + 2 * m * k
+    m = (j + k) // L
+    return L * m * m - 2 * m * k
+
+
+@pytest.mark.parametrize("n,tau", [(0, 1j), (3, 0.7j), (6, 0.55j), (4, 0.3 + 1j)])
+def test_bank_weights_are_ladder_powers_bitwise(n, tau):
+    L = 2 * n + 1
+    for k, (js, ws, two_es) in enumerate(_ladder_bank(n, tau)):
+        for j, w, two_e in zip(js.tolist(), ws.tolist(), two_es.tolist()):
+            assert two_e == _ladder_exponent(j, k, L)
+            fac = 1.0 if j == 0 else 2.0
+            assert _bits(w) == _bits(fac * cmath.exp(1j * PI * tau * (two_e / 2)))
+
+
+def test_extended_frequencies_carry_the_bank_exponents():
+    qc = solve_q(6, 0.55j)
+    assert qc.route == "extended"
+    bank = [(j, k, two_e) for k, (js, _, two_es) in enumerate(qc.bank)
+            for j, two_e in zip(js.tolist(), two_es.tolist())]
+    assert [(f, k, two_e) for f, k, two_e, _ in qc.extended.freqs] == bank
+    for f, k, two_e, fac in qc.extended.freqs:
+        assert two_e == _ladder_exponent(f, k, qc.L) and fac == (1 if f == 0 else 2)
+
+
 def test_residual_stable_under_refinement(solved, monkeypatch):
     # doubling the sampling and deepening the ladder truncation leaves the
     # ddt residual within a factor 10 (convergence audit)
@@ -161,7 +191,7 @@ def _bits(a):
 def _q_eval_reference(qc, u, order=0):
     # one argument at a time, one np.sum per basis function
     total = 0j
-    for ck, (js, ws) in zip(qc.free, qc.bank):
+    for ck, (js, ws, _) in zip(qc.free, qc.bank):
         if order == 0:
             basis = np.cos(js * u)
         elif order == 1:
@@ -184,7 +214,7 @@ def _solve_q_reference(n, tau):
         for shift in (0.0, 2 * PI / 3, -2 * PI / 3):
             phi = theta(1, u + shift, ctx) ** L
             for k in range(n + 1):
-                js, ws = bank[k]
+                js, ws, _ = bank[k]
                 term = phi * np.sum(ws * np.cos(js * (u + shift)))
                 A[s, k] += term
                 scale = max(scale, abs(term))
@@ -224,7 +254,7 @@ def _dec_weights(qc):
     L = qc.L
     t = decimal.Decimal(complex(qc.tau).imag)
     out = []
-    for k, (js, _) in enumerate(qc.bank):
+    for k, (js, _, _) in enumerate(qc.bank):
         for f in js.tolist():
             if (f - k) % L == 0:
                 m = (f - k) // L

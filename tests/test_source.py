@@ -1,0 +1,32 @@
+"""Static checks over the package source, with the standard library only."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "susyxyz"
+
+
+def _private_module_names(tree: ast.Module) -> set:
+    """The names bound at module level that start with one underscore:
+    functions, classes, assignment targets and imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_private_module_name_is_read_in_its_module(path):
+    # a private name nothing in its own module reads is dead code: tests may
+    # reach into a module, but they are not a reason to keep a name in it
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    assert sorted(_private_module_names(tree) - read) == []
