@@ -11,12 +11,15 @@ spins.  H commutes with translation, so it is diagonalized on the
 translation-invariant (k = 0) combinations of even-sector states, one per
 orbit under rotation, a space of dimension about 2^(L-1)/L; the ground state
 lies there, which the energy check against the closed form certifies.
-A k = 0 sector of dimension up to DENSE_DIM_MAX (L <= 13) is solved by dense
-`eigh`; a larger one by one Lanczos run (ARPACK) on the sparse k = 0 matrix
-from a start vector seeded by L, so a result does not depend on what the
-process computed before.  scipy is imported only on that path and by
-`sector_matrix(sparse=True)`.  The eigenvector is scattered back onto the
-even sector, where correlators are measured bond by bond.
+A k = 0 sector of dimension up to DENSE_DIM_MAX (L <= 13) is solved densely,
+its eigenvalues by `eigvalsh` and the ground vector by inverse iteration, so
+the eigenbasis is never formed; a larger one by one Lanczos run (ARPACK) on
+the sparse k = 0 matrix.  Both start from a vector seeded by L, drawn from
+the standard library's generator, so a result does not depend on what the
+process computed before and numpy.random is never imported.  scipy is
+imported only on the ARPACK path and by `sector_matrix(sparse=True)`.  The
+eigenvector is scattered back onto the even sector, where correlators are
+measured bond by bond.
 
 The eight-vertex transfer matrix comes from one site tensor, the R-matrix
 W[alpha, gamma, s', s].  `transfer_apply` multiplies a vector by T one site
@@ -28,13 +31,12 @@ vectors only.
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-# numpy.random loads with the module, not inside the first solve or transfer
-# check: numpy does not import it, and scipy is imported only for ARPACK
-from numpy.random import default_rng
 
 from .thetanum import ThetaContext, modular_values, theta, theta_context
 
@@ -65,12 +67,13 @@ L_MAX_TRANSFER = 15
 #: it the amplification alone lifts the residual past its bound
 L_MAX_LAMBDA_GATE = 9
 GAP_TOL = 1e-8
-#: largest k = 0 dimension solved by dense `eigh`; ARPACK above it.  Warm, per
-#: solve on a 2-vCPU Xeon: dense 0.07-0.13 / 0.7-1.6 / 10-13 / 154-168 ms at
-#: dimension 30 / 94 / 316 / 1096 (L = 9 / 11 / 13 / 15), `eigsh` 0.5-0.7 /
-#: 1.3-1.9 / 2.0-2.2 / 17-20 ms, and the first ARPACK solve in a process also
-#: pays about 0.25 s to import scipy.  Over a 10-point zeta sweep dense wins
-#: at 316 (0.1 s against 0.27 s) and loses at 1096 (1.7 s against 0.47 s), so
+#: largest k = 0 dimension solved densely (`_dense_ground_pair`); ARPACK above
+#: it.  Warm, per solve on a 2-vCPU Xeon, best of 10 at each zeta of
+#: DEFAULT_ZETA_GRID: dense 0.11-0.15 / 0.51-0.61 / 7.4-9.1 / 122-159 ms at
+#: dimension 30 / 94 / 316 / 1096 (L = 9 / 11 / 13 / 15), `eigsh` 0.46-0.59 /
+#: 1.1-1.6 / 1.6-2.3 / 3.5-19 ms, and the first ARPACK solve in a process also
+#: pays about 0.25 s to import scipy.  Over the 10-point sweep dense wins at
+#: 316 (0.08 s against 0.27 s) and loses at 1096 (1.3 s against 0.36 s), so
 #: the crossover lies between the two.
 DENSE_DIM_MAX = 512
 INVERSION_EXCLUSION = 1e-3
@@ -247,33 +250,73 @@ class GroundState:
     dim: int                    # dimension of the k = 0 sector
 
 
+def _start_vector(L: int, n: int) -> np.ndarray:
+    """n numbers uniform in [-1, 1) from the standard library's generator
+    seeded by L: a generic start vector that does not depend on what the
+    process computed before, drawn without loading numpy.random."""
+    bits = random.Random(L).getrandbits(64 * n)
+    return np.frombuffer(bits.to_bytes(8 * n, "little"), dtype="<u8") * 2.0**-63 - 1.0
+
+
+def _residual(cols, vals, c: np.ndarray, e: float) -> float:
+    """||H c - e c|| with H given by its fixed-width rows."""
+    return float(np.linalg.norm((vals * c[cols]).sum(axis=1) - e * c))
+
+
+def _dense_ground_pair(cols, vals, L: int):
+    """e0, e1, the ground vector and its residual, without the eigenbasis:
+    the eigenvalues by `eigvalsh`, the vector by inverse iteration on one
+    copy of H shifted to sigma = e0 - GAP_TOL max(|e0|, 1) / 100, from a
+    start vector seeded by L.
+
+    Each solve of (H - sigma) x = c shrinks the excited components by
+    (e0 - sigma) / (e1 - sigma), at most 1e-2 at any gap that passes
+    GAP_TOL, so until rounding sets in ||H c - e0 c|| falls at least a
+    hundredfold per solve.  The solves repeat while it falls tenfold, at
+    most four, and the best vector is kept: on the default zeta grid the
+    second solve reaches rounding level and the third ends the loop.
+    """
+    H = _dense(cols, vals)
+    e0, e1 = np.linalg.eigvalsh(H)[:2]
+    H.flat[:: len(H) + 1] -= e0 - 1e-2 * GAP_TOL * max(abs(e0), 1.0)
+    c, residual = _start_vector(L, len(H)), math.inf
+    for _ in range(4):
+        x = np.linalg.solve(H, c)
+        x /= np.linalg.norm(x)
+        r = _residual(cols, vals, x, e0)
+        done = r > 0.1 * residual
+        if r < residual:
+            c, residual = x, r
+        if done:
+            break
+    return e0, e1, c, residual
+
+
 def _ground_state(op: SpinOperator) -> GroundState:
-    """Two lowest eigenpairs of the k = 0 matrix: by dense `eigh` up to
-    dimension DENSE_DIM_MAX, above it by Lanczos (ARPACK) from a start vector
-    seeded by L.  The k = 0 coefficient c_r of orbit r becomes c_r / sqrt(N_r)
-    on each of its N_r even-sector states.
+    """Two lowest eigenvalues and the ground vector of the k = 0 matrix: by
+    `_dense_ground_pair` up to dimension DENSE_DIM_MAX, above it by Lanczos
+    (ARPACK) from the same seeded start vector.  The k = 0 coefficient c_r
+    of orbit r becomes c_r / sqrt(N_r) on each of its N_r even-sector states.
     """
     sec = op.sector_indices()
     orbit, reps, lengths = _orbits(op.L, sec)
     cols, vals = _momentum_zero_matrix(op.L, op.couplings, orbit, reps, lengths)
     n = len(reps)
     if n <= DENSE_DIM_MAX:
-        evals, vecs = np.linalg.eigh(_dense(cols, vals))
+        e0, e1, c, residual = _dense_ground_pair(cols, vals, op.L)
     else:
         from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
         # Without a start vector ARPACK draws one from a generator whose
         # state persists across calls, so the result would depend on earlier
         # calls.
-        v0 = default_rng(op.L).standard_normal(n)
         try:
-            evals, vecs = eigsh(_csr(cols, vals), k=2, which="SA", v0=v0)
+            evals, vecs = eigsh(_csr(cols, vals), k=2, which="SA", v0=_start_vector(op.L, n))
         except ArpackNoConvergence as exc:
             raise NoConvergence(str(exc)) from exc
-    order = np.argsort(evals)
-    e0, e1 = evals[order[0]], evals[order[1]]
-    c = vecs[:, order[0]]
-    residual = float(np.linalg.norm((vals * c[cols]).sum(axis=1) - e0 * c))
+        order = np.argsort(evals)
+        (e0, e1), c = evals[order[:2]], vecs[:, order[0]]
+        residual = _residual(cols, vals, c, e0)
     scale = max(abs(e0), 1.0)
     gap = float((e1 - e0) / scale)
     if gap < GAP_TOL:
@@ -292,10 +335,11 @@ def ground_state_even_sector(L: int, zeta: float) -> GroundState:
     subsector, where the ground state lies: its energy is checked against
     -L (zeta^2 + 3)/4 by the callers.
 
-    The two lowest eigenvalues of the k = 0 matrix come from dense `eigh` up
-    to dimension DENSE_DIM_MAX and from Lanczos on the sparse matrix, from a
-    start vector seeded by L, above it; the result is verified by its
-    residual and relative gap, never assumed.
+    Up to dimension DENSE_DIM_MAX the two lowest eigenvalues of the k = 0
+    matrix come from dense `eigvalsh` and the ground vector from inverse
+    iteration just below e0; above it both come from Lanczos on the sparse
+    matrix.  Both paths start from one vector seeded by L.  The result is
+    verified by its residual and relative gap, never assumed.
     """
     return _ground_state(build_hamiltonian(L, zeta))
 
@@ -424,7 +468,9 @@ def transfer_checks(L: int, tau: complex) -> dict:
 
     Every product with T is applied site by site, as in `transfer_apply`,
     with the products at several u stacked into one pass.  The commutator
-    and quasi-periodicity residuals act on one complex vector v seeded by L:
+    and quasi-periodicity residuals act on one complex vector v seeded by L,
+    whose real and imaginary parts interleave the 2^(L+1) entries of
+    `_start_vector(L, 2^(L+1))`:
     ||T1 T2 v - T2 T1 v|| / max(||T1 T2 v||, ||T2 T1 v||) and
     ||T(u1 + pi) v - (-1)^L T(u1) v|| / ||T(u1) v||.  The eigenvalue residual
     ||T psi - lambda psi|| on the ground state psi is reported relative to
@@ -439,8 +485,7 @@ def transfer_checks(L: int, tau: complex) -> dict:
     psi = np.zeros(2**L)
     psi[state.sector] = state.vector
     ctx = theta_context(tau)
-    rng = default_rng(L)
-    v = rng.standard_normal(2**L) + 1j * rng.standard_normal(2**L)
+    v = _start_vector(L, 2 ** (L + 1)).view(complex)
     us = TRANSFER_POINTS
     u1, u2 = 0.52, 1.91
     W = {u: _site_tensor(u, eta, tau) for u in (*us, u1, u2, u1 + np.pi)}

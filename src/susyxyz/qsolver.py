@@ -665,12 +665,19 @@ class _TrigTable:
     #: Python ints, larger ones as limb tables
     INT_PRODUCTS = 1024
 
-    def __init__(self, points: list, bits: int, F: int):
-        self.points, self.bits, self.F = points, bits, F
+    def __init__(self, points: list, bits: int):
+        self.points, self.bits, self.F = points, bits, 0
         self.real = all(b == 0 for _, b in points)
-        self.small = len(points) * F <= self.INT_PRODUCTS
-        self.rows = None
-        self.kinds: dict = {}
+        self.small, self.rows, self.kinds = True, None, {}
+
+    def reserve(self, F: int):
+        """Hold at least F frequencies, dropping the kinds built shorter.
+        The values at f < F do not depend on the table's length, and both
+        sums stop at the operand's length, so every sum stays the same."""
+        if F > self.F:
+            self.F = F
+            self.small = len(self.points) * F <= self.INT_PRODUCTS
+            self.rows, self.kinds = None, {}
 
     def _build(self, kind: str):
         i = "ABCD".index(kind)
@@ -702,15 +709,16 @@ class _TrigTable:
 
 
 # working set 24 (q-sweep child: the fixed real grids, kept across nomes,
-# and about ten point sets per nome; at 12 entries a child rebuilds 280
-# tables instead of 156, 0.15 s more)
+# and about ten point sets per nome; at seed 0 a child builds 146 table
+# kinds with 24 entries and 175 with 12)
 @functools.lru_cache(maxsize=24)
-def _trig_table(key, bits: int, F: int) -> _TrigTable:
-    """The _TrigTable of a point set at ``bits`` bits and F frequencies:
-    ``key`` is "refine" for the refinement grid, else the dtype and bytes
-    of a flat array of doubles, real or complex.  The fixed real grids
-    (the solve, functional-equation, Wronskian and ddt points) are the
-    same for every nome, so their tables are built once per process."""
+def _trig_table(key, bits: int) -> _TrigTable:
+    """The _TrigTable of a point set at ``bits`` bits, shared by every
+    frequency count: ``key`` is "refine" for the refinement grid, else the
+    dtype and bytes of a flat array of doubles, real or complex.  The fixed
+    real grids (the solve, functional-equation, Wronskian and ddt points)
+    are the same for every nome, so their tables are built once per
+    process, and grown when a longer cell needs them."""
     if key == "refine":
         g = bits + 32
         third = 2 * _pi_fixed(g) // 3
@@ -720,14 +728,15 @@ def _trig_table(key, bits: int, F: int) -> _TrigTable:
     else:
         x = np.frombuffer(key[1], dtype=key[0]).astype(complex)
         points = [(_fixed(z.real, bits + 32), _fixed(z.imag, bits + 32)) for z in x.tolist()]
-    return _TrigTable(points, bits, F)
+    return _TrigTable(points, bits)
 
 
 def _table(key, bits: int, F: int) -> _TrigTable:
-    """_trig_table with F rounded up to a multiple of 16, so that the cells
-    of one nome share their tables: the values at f < F do not depend on
-    the table's length."""
-    return _trig_table(key, bits, -(-F // 16) * 16)
+    """_trig_table grown to at least F frequencies, rounded up to a multiple
+    of 16, so that the cells of every length share one table."""
+    table = _trig_table(key, bits)
+    table.reserve(-(-F // 16) * 16)
+    return table
 
 
 class _Nome:

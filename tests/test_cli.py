@@ -271,7 +271,8 @@ def test_cli_runs_its_exact_commands_without_numpy():
 
 
 def test_cli_runs_its_small_ed_commands_without_scipy():
-    # dense eigh solves every k = 0 sector up to L = 13
+    # the dense branch solves every k = 0 sector up to L = 13, and no ED
+    # path draws from numpy.random
     commands = [
         ["ed-verify"],
         ["ed-verify", "--L", "13", "--transfer"],
@@ -279,7 +280,7 @@ def test_cli_runs_its_small_ed_commands_without_scipy():
     ]
     blocked = _python(
         "import contextlib, io, json, sys\n"
-        "sys.modules['scipy'] = None\n"
+        "sys.modules['scipy'] = sys.modules['numpy.random'] = None\n"
         "from susyxyz.cli import main\n"
         "codes = []\n"
         f"for argv in {commands!r}:\n"

@@ -20,6 +20,7 @@ from susyxyz.edoracle import (
     SizeLimit,
     _orbits,
     _site_tensor,
+    _start_vector,
     boltzmann_weights,
     build_from_couplings,
     build_hamiltonian,
@@ -341,9 +342,10 @@ def test_only_the_arpack_branch_imports_scipy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(susyxyz.__file__)))
     script = (
         "import sys\n"
-        "from susyxyz.edoracle import ground_state_even_sector\n"
+        "from susyxyz.edoracle import ground_state_even_sector, transfer_checks\n"
         "ground_state_even_sector(13, 0.4)\n"
-        "print('scipy' in sys.modules)\n"
+        "transfer_checks(13, 0.5j)\n"
+        "print('scipy' in sys.modules, 'numpy.random' in sys.modules)\n"
         "ground_state_even_sector(15, 0.4)\n"
         "print('scipy.sparse.linalg' in sys.modules)\n"
     )
@@ -352,7 +354,28 @@ def test_only_the_arpack_branch_imports_scipy():
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False", "True"]
+    assert out.stdout.split() == ["False", "False", "True"]
+
+
+@pytest.mark.parametrize("L", [3, 5, 7, 9, 11, 13])
+def test_dense_eigenpair_matches_eigh(L):
+    # eigvalsh and inverse iteration against the full eigenbasis of eigh
+    for zq in DEFAULT_ZETA_GRID:
+        op = build_hamiltonian(L, float(zq))
+        orbit, _, lengths = _orbits(L, op.sector_indices())
+        H = op.sector_matrix(sparse=False)
+        assert len(H) <= DENSE_DIM_MAX
+        vals, vecs = np.linalg.eigh(H)
+        e0, e1 = vals[:2]
+        ref = (vecs[:, 0] / np.sqrt(lengths))[orbit]
+        gs = ground_state_even_sector(L, float(zq))
+        scale = max(abs(e0), 1.0)
+        assert abs(gs.energy - e0) <= 1e-12 * abs(e0)
+        assert abs(gs.gap - (e1 - e0) / scale) <= 1e-10
+        assert abs(np.dot(gs.vector, ref)) >= 1 - 1e-12
+        c = np.bincount(orbit, weights=gs.vector) / np.sqrt(lengths)
+        assert np.linalg.norm(H @ c - e0 * c) <= 1e-13 * scale
+        assert gs.residual <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("L", [13, 15])
@@ -541,8 +564,7 @@ def test_ed_verify_reads_each_bound(monkeypatch, bound):
 def test_transfer_checks_match_dense_reference():
     L, tau, eta = 5, 1j, np.pi / 3
     rep = transfer_checks(L, tau)
-    rng = np.random.default_rng(L)
-    v = rng.standard_normal(2**L) + 1j * rng.standard_normal(2**L)
+    v = _start_vector(L, 2 ** (L + 1)).view(complex)
     T1 = _transfer_matrix(L, 0.52, eta, tau)
     T2 = _transfer_matrix(L, 1.91, eta, tau)
     Tshift = _transfer_matrix(L, 0.52 + np.pi, eta, tau)

@@ -30,3 +30,19 @@ def test_every_private_module_name_is_read_in_its_module(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     assert sorted(_private_module_names(tree) - read) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_uses_numpy_random(path):
+    # seeded vectors come from the standard library's generator, so loading
+    # the package never loads numpy.random
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(f"{node.module}.{a.name}" for a in node.names)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in ("np", "numpy")):
+            names.add(f"numpy.{node.attr}")
+    assert [m for m in names if m == "numpy.random" or m.startswith("numpy.random.")] == []
