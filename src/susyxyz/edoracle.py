@@ -22,16 +22,18 @@ eigenvector is scattered back onto the even sector, where correlators are
 measured bond by bond.
 
 The eight-vertex transfer matrix comes from one site tensor, the R-matrix
-W[alpha, gamma, s', s].  `transfer_apply` multiplies a vector by T one site
-at a time without forming it, in O(L 2^L), for every L up to L_MAX.  The
-package never builds T densely: `transfer_checks` (L <= L_MAX_TRANSFER)
-tests the commutator, quasi-periodicity and the ground-state eigenvalue on
-vectors only.
+W[alpha, gamma, s', s], real for real u and pure-imaginary tau, the only
+weights the package uses.  `transfer_apply` multiplies a vector by T one
+site at a time without forming it, in O(L 2^L), for every L up to L_MAX:
+the real and imaginary parts of the vector go through the real tensor as
+separate rows, in chunks of at most TRANSFER_CHUNK_BYTES so that the carried
+array stays in cache.  The package never builds T densely:
+`transfer_checks` (L <= L_MAX_TRANSFER) tests the commutator,
+quasi-periodicity and the ground-state eigenvalue on vectors only.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,6 +47,7 @@ __all__ = [
     "NoConvergence",
     "DegenerateSectorGround",
     "NearSingularInversion",
+    "ComplexSiteTensor",
     "SpinOperator",
     "GroundState",
     "couplings_from_zeta",
@@ -92,6 +95,13 @@ TRANSFER_COMMUTATOR_TOL = 1e-9
 TRANSFER_QP_TOL = 1e-12
 TRANSFER_TAUS = (0.5j, 1j)
 TRANSFER_POINTS = (0.31, 0.77, 1.38, 2.02, 2.64)
+#: bytes of the array `_apply_stack` carries per chunk of rows, 32 2^L per
+#: row.  Best of 15 warm `transfer_checks` at tau = 0.5i on a 2-vCPU Xeon
+#: (2 MiB L2 per core), budgets interleaved: at 64 / 128 / 256 / 512 KiB and
+#: 1 MiB, L = 9 takes 5.6 / 5.2 / 4.6 / 4.5 / 4.6 ms, L = 11 20.4 / 17.9 /
+#: 17.6 / 17.3 / 17.9 ms and L = 13 98 / 88 / 85 / 82 / 149 ms; 256 KiB
+#: keeps clear of both edges.
+TRANSFER_CHUNK_BYTES = 256 * 1024
 
 
 class SizeLimit(ValueError):
@@ -108,6 +118,11 @@ class DegenerateSectorGround(RuntimeError):
 
 class NearSingularInversion(ValueError):
     """zeta too close to +-1 for the x/y inversion of the correlators."""
+
+
+class ComplexSiteTensor(ValueError):
+    """A transfer site tensor with a nonzero imaginary part: complex u or a
+    nome off the imaginary axis."""
 
 
 def couplings_from_zeta(zeta: float) -> tuple[float, float, float]:
@@ -270,26 +285,23 @@ def _dense_ground_pair(cols, vals, L: int):
     start vector seeded by L.
 
     Each solve of (H - sigma) x = c shrinks the excited components by
-    (e0 - sigma) / (e1 - sigma), at most 1e-2 at any gap that passes
-    GAP_TOL, so until rounding sets in ||H c - e0 c|| falls at least a
-    hundredfold per solve.  The solves repeat while it falls tenfold, at
-    most four, and the best vector is kept: on the default zeta grid the
-    second solve reaches rounding level and the third ends the loop.
+    rho = (e0 - sigma) / (e1 - sigma), so the number of solves is known in
+    advance: the fewest with rho^k at most the unit roundoff 2^-53.  At any
+    gap that passes GAP_TOL rho is at most 1e-2, so k <= 8; on the default
+    zeta grid at L <= 13 rho lies between 7.5e-11 and 1.1e-9, so k = 2.
     """
     H = _dense(cols, vals)
     e0, e1 = np.linalg.eigvalsh(H)[:2]
-    H.flat[:: len(H) + 1] -= e0 - 1e-2 * GAP_TOL * max(abs(e0), 1.0)
-    c, residual = _start_vector(L, len(H)), math.inf
-    for _ in range(4):
-        x = np.linalg.solve(H, c)
-        x /= np.linalg.norm(x)
-        r = _residual(cols, vals, x, e0)
-        done = r > 0.1 * residual
-        if r < residual:
-            c, residual = x, r
-        if done:
+    shift = 1e-2 * GAP_TOL * max(abs(e0), 1.0)
+    rho = shift / (e1 - e0 + shift)
+    H.flat[:: len(H) + 1] -= e0 - shift
+    c = _start_vector(L, len(H))
+    for k in range(1, 9):
+        c = np.linalg.solve(H, c)
+        c /= np.linalg.norm(c)
+        if rho**k <= 2.0**-53:
             break
-    return e0, e1, c, residual
+    return e0, e1, c, _residual(cols, vals, c, e0)
 
 
 def _ground_state(op: SpinOperator) -> GroundState:
@@ -408,37 +420,66 @@ def _site_tensor(u: complex, eta: float, tau: complex) -> np.ndarray:
     return W
 
 
-def _apply_stack(Ws: np.ndarray, vs) -> np.ndarray:
-    """T_b @ v_b for a stack of site tensors Ws[b] and vectors vs[b] of length
-    2^L, in one pass, where T_b = Tr_aux(R_01 ... R_0L) is built from Ws[b].
+def _apply_stack(Ws, vs) -> np.ndarray:
+    """T_b @ v_b for a stack of real site tensors Ws[b] and vectors vs[b] of
+    length 2^L, where T_b = Tr_aux(R_01 ... R_0L) is built from Ws[b].
 
-    The carried array X[b, alpha0, s, rest, alpha] starts as
-    delta(alpha0, alpha) v_b, with s the first spin not yet visited.  Each
-    site contracts s and the auxiliary index alpha with W and appends the
-    output spin after the rest, so after L sites the spins are back in order.
-    Time and memory are O(B L 2^L); the number of numpy calls does not grow
-    with the stack size B.
+    Each vector is carried as real rows: its real part and, if it is
+    complex, its imaginary part, each contracted with the tensor of its
+    vector.  As the tensors are real, every product and sum is the one the
+    complex contraction would form, so the result has the same bits.  The
+    carried array X[r, alpha0, s, rest, alpha] of row r starts as
+    delta(alpha0, alpha) v_r, with s the first spin not yet visited.  Each
+    site contracts s and the auxiliary index alpha with W by two matmuls and
+    appends the output spin after the rest, so after L sites the spins are
+    back in order.  The rows go in chunks whose X, 32 2^L bytes per row,
+    fits TRANSFER_CHUNK_BYTES (one row at least), so the number of numpy
+    calls is O(L) per chunk: constant in B while the rows fit one chunk
+    (a five-vector complex stack up to L = 9), about 32 B 2^L /
+    TRANSFER_CHUNK_BYTES chunks above.  Time is O(B L 2^L); memory is the
+    vectors and three arrays of one chunk.  A tensor with a nonzero
+    imaginary part raises ComplexSiteTensor.
     """
-    vs = np.asarray(vs, dtype=complex)
+    Ws = np.asarray(Ws)
+    if np.iscomplexobj(Ws):
+        if Ws.imag.any():
+            raise ComplexSiteTensor("the transfer kernel takes real site tensors only")
+        Ws = Ws.real
+    vs = np.ascontiguousarray(vs, dtype=complex if np.iscomplexobj(vs) else float)
     B, dim = vs.shape
     half = dim // 2
     # [b, s, 1 (alpha0), alpha, (s', gamma)]
     Wm = np.transpose(Ws, (0, 4, 1, 3, 2)).reshape(B, 2, 1, 2, 4)
-    X = (np.eye(2)[:, None, :] * vs[:, None, :, None]).reshape(B, 2, 2, half, 2)
-    for _ in range(dim.bit_length() - 1):
-        X = (X[:, :, 0] @ Wm[:, 0] + X[:, :, 1] @ Wm[:, 1]).reshape(B, 2, 2, half, 2)
-    X = X.reshape(B, 2, dim, 2)
-    return X[:, 0, :, 0] + X[:, 1, :, 1]
+    # [b, i, part]: the real part, then the imaginary part if there is one
+    parts = vs.view(float).reshape(B, dim, -1)
+    n_parts = parts.shape[2]
+    out = np.zeros((B, dim), dtype=complex)
+    dest = out.view(float).reshape(B, dim, 2)
+    chunk = max(1, TRANSFER_CHUNK_BYTES // (32 * dim))
+    for lo in range(0, B * n_parts, chunk):
+        b, p = np.divmod(np.arange(lo, min(lo + chunk, B * n_parts)), n_parts)
+        W = Wm[b]
+        X = (np.eye(2)[:, None, :] * parts[b, :, p][:, None, :, None]).reshape(-1, 2, 2, half, 2)
+        # the two products of a site go into buffers reused at every site
+        first, spare = np.empty((2, len(b), 2, half, 4))
+        for _ in range(dim.bit_length() - 1):
+            np.matmul(X[:, :, 0], W[:, 0], out=first)
+            np.matmul(X[:, :, 1], W[:, 1], out=spare)
+            np.add(first, spare, out=spare)
+            X, spare = spare.reshape(-1, 2, 2, half, 2), X.reshape(-1, 2, half, 4)
+        X = X.reshape(-1, 2, dim, 2)
+        dest[b, :, p] = X[:, 0, :, 0] + X[:, 1, :, 1]
+    return out
 
 
 def transfer_apply(L: int, u: complex, eta: float, tau: complex, v) -> np.ndarray:
     """T(u) @ v for the transfer matrix Tr_aux(R_01 ... R_0L) on the 2^L chain
     space, site 1 being the most significant bit, without forming T: site by
-    site in O(L 2^L) time and memory.
+    site in O(L 2^L) time and memory.  The weights must be real, as they are
+    for real u and pure-imaginary tau; otherwise ComplexSiteTensor.
     """
     _check_length(L)
-    v = np.asarray(v, dtype=complex).reshape(1, 2**L)
-    return _apply_stack(_site_tensor(u, eta, tau)[None], v)[0]
+    return _apply_stack(_site_tensor(u, eta, tau)[None], np.asarray(v).reshape(1, 2**L))[0]
 
 
 def _ground_eigenvalue(L: int, u: complex, ctx: ThetaContext) -> complex:
@@ -467,10 +508,10 @@ def transfer_checks(L: int, tau: complex) -> dict:
     transfer family at the supersymmetric crossing parameter, matrix-free.
 
     Every product with T is applied site by site, as in `transfer_apply`,
-    with the products at several u stacked into one pass.  The commutator
-    and quasi-periodicity residuals act on one complex vector v seeded by L,
-    whose real and imaginary parts interleave the 2^(L+1) entries of
-    `_start_vector(L, 2^(L+1))`:
+    with the products at several u stacked into one kernel call.  The
+    commutator and quasi-periodicity residuals act on one complex vector v
+    seeded by L, whose real and imaginary parts interleave the 2^(L+1)
+    entries of `_start_vector(L, 2^(L+1))`:
     ||T1 T2 v - T2 T1 v|| / max(||T1 T2 v||, ||T2 T1 v||) and
     ||T(u1 + pi) v - (-1)^L T(u1) v|| / ||T(u1) v||.  The eigenvalue residual
     ||T psi - lambda psi|| on the ground state psi is reported relative to

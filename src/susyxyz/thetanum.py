@@ -10,11 +10,14 @@ at randomized arguments.
 ``theta`` is memoised in a bounded LRU cache of 256 entries keyed by
 (j, u, ctx, order).  The Q pipeline evaluates its n-independent grids
 (solve, fresh-point and differential-difference sample points) once per
-nome through the list form of ``theta`` and keeps the values itself, so
-the memo serves the scattered scalar calls.  Over the benchmark's q-sweep
-at seed 0 (80 345 calls), 256 entries serve 54.8 % of the calls from the
-cache, 2048 or 4096 entries 55.5 %, 64 entries 51.4 % and 32 entries
-35.3 %; the misses left are mostly the identity suite's random arguments.
+nome through the list form of ``theta`` and keeps the values itself, and
+the identity suite evaluates each theta_j over all its samples by one list
+call, so the memo serves the scattered scalar calls.  Over the benchmark's
+q-sweep at seed 0 (35 720 calls), 256 entries serve 85.3 % of the calls
+from the cache, as do 512, 2048 and 4096; 128 entries serve 81.9 %, 64
+entries 81.3 % and 32 entries 52.4 %.  Of the 5 252 misses left at 256
+entries, 3 084 are the theta calls inside ``weierstrass_p`` on the Q
+pipeline's differential-difference grid, each at a fresh point.
 A hit returns the value the series computed, so results are bit-identical
 with or without the memo; arguments that compare equal but differ in type
 (float and numpy float64) or in the sign of a zero also get the same bits
@@ -26,6 +29,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -193,7 +197,7 @@ def _theta_series(j: int, us, ctx: ThetaContext, order: int) -> list[complex]:
     return out
 
 
-# 256 entries serve as many calls as 2048 (see the module docstring)
+# 256 entries serve as many calls as 4096 (see the module docstring)
 @functools.lru_cache(maxsize=256)
 def _theta_memo(j: int, u: complex, ctx: ThetaContext, order: int) -> complex:
     return _theta_series(j, (u,), ctx, order)[0]
@@ -280,21 +284,33 @@ def weierstrass_p(u: complex, w1: complex, w2: complex) -> complex:
 
 # -- modular parameter maps ---------------------------------------------
 
-def zeta_of_eta(eta: complex, tau: complex) -> complex:
-    """Transfer-matrix invariant zeta as a function of the crossing parameter."""
-    c2 = theta_context(2 * tau)
-    return (theta(1, 2 * eta, c2) / theta(4, 2 * eta, c2)) ** 2
+def _on_doubled(j: int, eta, tau: complex):
+    """theta_j(2 eta | 2 tau): a number for a number, a list for a list."""
+    two = [2 * e for e in eta] if isinstance(eta, list) else 2 * eta
+    return theta(j, two, theta_context(2 * tau))
 
 
-def gamma_of_eta(eta: complex, tau: complex) -> complex:
-    """Transfer-matrix invariant Gamma as a function of the crossing parameter."""
+def _each(f, *values):
+    """f of the values, or f element by element when they are lists."""
+    if isinstance(values[0], list):
+        return [f(*row) for row in zip(*values)]
+    return f(*values)
+
+
+def zeta_of_eta(eta, tau: complex):
+    """Transfer-matrix invariant zeta as a function of the crossing parameter.
+    A list of crossing parameters gives a list, element by element the bits
+    of the call with that parameter alone."""
+    return _each(lambda t1, t4: (t1 / t4) ** 2, _on_doubled(1, eta, tau), _on_doubled(4, eta, tau))
+
+
+def gamma_of_eta(eta, tau: complex):
+    """Transfer-matrix invariant Gamma as a function of the crossing
+    parameter; a list gives a list, as for zeta_of_eta."""
     c2 = theta_context(2 * tau)
-    return (
-        theta(2, 2 * eta, c2)
-        * theta(3, 2 * eta, c2)
-        * theta(4, 0.0, c2) ** 2
-        / (theta(2, 0.0, c2) * theta(3, 0.0, c2) * theta(4, 2 * eta, c2) ** 2)
-    )
+    z2, z3, z4 = (theta(j, 0.0, c2) for j in (2, 3, 4))
+    return _each(lambda t2, t3, t4: t2 * t3 * z4 ** 2 / (z2 * z3 * t4 ** 2),
+                 *(_on_doubled(j, eta, tau) for j in (2, 3, 4)))
 
 
 def eta_derivative(fn, eta0: float, h: float = 1e-5):
@@ -375,7 +391,12 @@ LEMMA_RESIDUALS = frozenset({
 
 def identity_suite(tau: complex, seed: int = 0) -> dict:
     """Max relative residual of every theta identity the package relies on,
-    at IDENTITY_SAMPLES seeded pseudo-random argument tuples."""
+    at IDENTITY_SAMPLES seeded pseudo-random argument tuples.
+
+    The tuples are drawn first, (u, x, y, v, w, eta) per sample, and each
+    theta value the samples need is evaluated for all of them by one list
+    call; the residuals are then tallied sample by sample, so each one, and
+    the order of the keys, is what one scalar call per value would give."""
     rng = random.Random(seed)
     ctx = theta_context(tau)
     c2 = ctx.scaled(2)
@@ -402,71 +423,97 @@ def identity_suite(tau: complex, seed: int = 0) -> dict:
 
     tripl_pref = qpochhammer(p**6, p**6) / qpochhammer(p**2, p**2) ** 3
 
+    draws = []
     for _ in range(IDENTITY_SAMPLES):
         u = _rand_u(rng, tau)
-        x, y, v, w = (_rand_u(rng, tau) for _ in range(4))
+        x, y, v, _w = (_rand_u(rng, tau) for _ in range(4))
+        draws.append((u, x, y, v, rng.uniform(0.2, 1.3)))
+    us, xs, ys, vs, etas = (list(col) for col in zip(*draws))
 
+    def th(j, args, c=ctx, order=0):
+        return theta(j, args, c, order)
+
+    def at(op, a, b):
+        return [op(s, t) for s, t in zip(a, b)]
+
+    def scaled(k, a):
+        return [k * s for s in a]
+
+    # every theta value the samples need, one list call per (j, argument)
+    tu = [None] + [th(j, us) for j in range(1, 5)]
+    tu_c2 = [None] + [th(j, us, c2) for j in range(1, 5)]
+    mod4 = th(4, [s / tau for s in us], theta_context(-1 / tau))
+    u2 = scaled(2, us)
+    t1_2u_c2, t4_2u_c2, t1_2u = th(1, u2, c2), th(4, u2, c2), th(1, u2)
+    trip = [None] + [(th(j, scaled(3, us), c3), th(j, [PI / 3 + s for s in us]),
+                      th(j, [PI / 3 - s for s in us])) for j in range(1, 5)]
+
+    def minus_plus(j, a, b):
+        return th(j, at(operator.sub, a, b)), th(j, at(operator.add, a, b))
+
+    xy1, uv1, xu1 = minus_plus(1, xs, ys), minus_plus(1, us, vs), minus_plus(1, xs, us)
+    yv1, xv1, yu1 = minus_plus(1, ys, vs), minus_plus(1, xs, vs), minus_plus(1, ys, us)
+    xy4 = minus_plus(4, xs, ys)
+    t2_xmy = th(2, at(operator.sub, xs, ys))
+    tx = [None] + [th(j, xs) for j in range(1, 5)]
+    ty = [None] + [th(j, ys) for j in range(1, 5)]
+    x2, y2 = scaled(2, xs), scaled(2, ys)
+    t1_2x, t4_2y, t4_2x, t1_2y = th(1, x2, c2), th(4, y2, c2), th(4, x2, c2), th(1, y2, c2)
+    d3u, d2u = th(3, us, ctx, 1), th(2, us, ctx, 1)
+    zetas, gammas = zeta_of_eta(etas, tau), gamma_of_eta(etas, tau)
+    t1_3e, t1_e, t3_e, t4_e = th(1, scaled(3, etas)), th(1, etas), th(3, etas), th(4, etas)
+
+    for i, u in enumerate(us):
         for j in range(1, 5):
-            tally(f"series_vs_product_theta{j}", _rel(theta(j, u, ctx), theta_product(j, u, ctx)))
+            tally(f"series_vs_product_theta{j}", _rel(tu[j][i], theta_product(j, u, ctx)))
 
         # modular transformation of theta_4
-        lhs = theta(4, u / tau, theta_context(-1 / tau))
-        rhs = cmath.sqrt(tau / 1j) * cmath.exp(1j * u * u / (PI * tau)) * theta(2, u, ctx)
-        tally("modular_theta4_to_theta2", _rel(lhs, rhs))
+        rhs = cmath.sqrt(tau / 1j) * cmath.exp(1j * u * u / (PI * tau)) * tu[2][i]
+        tally("modular_theta4_to_theta2", _rel(mod4[i], rhs))
 
         tally("double_nome_theta1",
-              _rel(theta(4, 0.0, c2) * theta(1, 2 * u, c2), theta(1, u, ctx) * theta(2, u, ctx)))
+              _rel(theta(4, 0.0, c2) * t1_2u_c2[i], tu[1][i] * tu[2][i]))
         tally("double_nome_theta4",
-              _rel(theta(4, 0.0, c2) * theta(4, 2 * u, c2), theta(3, u, ctx) * theta(4, u, ctx)))
+              _rel(theta(4, 0.0, c2) * t4_2u_c2[i], tu[3][i] * tu[4][i]))
         tally("half_nome_theta1",
-              _rel(theta(2, 0.0, ctx) * theta(1, u, ctx), 2 * theta(1, u, c2) * theta(4, u, c2)))
+              _rel(theta(2, 0.0, ctx) * tu[1][i], 2 * tu_c2[1][i] * tu_c2[4][i]))
         tally("half_nome_theta2",
-              _rel(theta(2, 0.0, ctx) * theta(2, u, ctx), 2 * theta(2, u, c2) * theta(3, u, c2)))
+              _rel(theta(2, 0.0, ctx) * tu[2][i], 2 * tu_c2[2][i] * tu_c2[3][i]))
         tally("duplication_theta1",
-              _rel(theta(1, 2 * u, ctx),
-                   2 * theta(1, u, ctx) * theta(2, u, ctx) * theta(3, u, ctx) * theta(4, u, ctx)
+              _rel(t1_2u[i],
+                   2 * tu[1][i] * tu[2][i] * tu[3][i] * tu[4][i]
                    / (theta(2, 0.0, ctx) * theta(3, 0.0, ctx) * theta(4, 0.0, ctx))))
 
         for j in range(1, 5):
+            at3u, plus, minus = trip[j]
             tally(f"triplication_theta{j}",
-                  _rel(theta(j, 3 * u, c3),
-                       tripl_pref * theta(j, u, ctx)
-                       * theta(j, PI / 3 + u, ctx) * theta(j, PI / 3 - u, ctx)))
+                  _rel(at3u[i], tripl_pref * tu[j][i] * plus[i] * minus[i]))
 
         # three-term product identity; residual relative to the largest term
-        t1 = (theta(1, x - y, ctx) * theta(1, x + y, ctx)
-              * theta(1, u - v, ctx) * theta(1, u + v, ctx))
-        t2 = (theta(1, x - u, ctx) * theta(1, x + u, ctx)
-              * theta(1, y - v, ctx) * theta(1, y + v, ctx))
-        t3 = (theta(1, x - v, ctx) * theta(1, x + v, ctx)
-              * theta(1, y - u, ctx) * theta(1, y + u, ctx))
+        t1 = xy1[0][i] * xy1[1][i] * uv1[0][i] * uv1[1][i]
+        t2 = xu1[0][i] * xu1[1][i] * yv1[0][i] * yv1[1][i]
+        t3 = xv1[0][i] * xv1[1][i] * yu1[0][i] * yu1[1][i]
         tally("weierstrass_three_term",
               abs(t1 - t2 + t3) / max(abs(t1), abs(t2), abs(t3), 1e-30))
 
         tally("sum_diff_theta4",
-              _rel(theta(4, 0.0, ctx) ** 2 * theta(4, x + y, ctx) * theta(4, x - y, ctx),
-                   theta(4, x, ctx) ** 2 * theta(4, y, ctx) ** 2
-                   - theta(1, x, ctx) ** 2 * theta(1, y, ctx) ** 2))
+              _rel(theta(4, 0.0, ctx) ** 2 * xy4[1][i] * xy4[0][i],
+                   tx[4][i] ** 2 * ty[4][i] ** 2 - tx[1][i] ** 2 * ty[1][i] ** 2))
         tally("sum_diff_theta3",
-              _rel(theta(4, 0.0, ctx) ** 2 * theta(4, x + y, ctx) * theta(4, x - y, ctx),
-                   theta(3, x, ctx) ** 2 * theta(3, y, ctx) ** 2
-                   - theta(2, x, ctx) ** 2 * theta(2, y, ctx) ** 2))
+              _rel(theta(4, 0.0, ctx) ** 2 * xy4[1][i] * xy4[0][i],
+                   tx[3][i] ** 2 * ty[3][i] ** 2 - tx[2][i] ** 2 * ty[2][i] ** 2))
         tally("mixed_double_nome",
-              _rel(theta(1, x + y, ctx) * theta(2, x - y, ctx),
-                   theta(1, 2 * x, c2) * theta(4, 2 * y, c2)
-                   + theta(4, 2 * x, c2) * theta(1, 2 * y, c2)))
+              _rel(xy1[1][i] * t2_xmy[i], t1_2x[i] * t4_2y[i] + t4_2x[i] * t1_2y[i]))
 
         # derivative of theta3/theta2
-        lhs = (theta(3, u, ctx, 1) * theta(2, u, ctx) - theta(3, u, ctx) * theta(2, u, ctx, 1)) \
-            / theta(2, u, ctx) ** 2
-        rhs = theta(4, 0.0, ctx) ** 2 * theta(1, u, ctx) * theta(4, u, ctx) / theta(2, u, ctx) ** 2
+        lhs = (d3u[i] * tu[2][i] - tu[3][i] * d2u[i]) / tu[2][i] ** 2
+        rhs = theta(4, 0.0, ctx) ** 2 * tu[1][i] * tu[4][i] / tu[2][i] ** 2
         tally("ratio32_derivative", _rel(lhs, rhs))
 
         # coupling combination at generic eta
-        eta = rng.uniform(0.2, 1.3)
-        lhs = 1 - zeta_of_eta(eta, tau) ** 2 + 2 * gamma_of_eta(eta, tau)
-        rhs = (theta(1, 3 * eta, ctx) * theta(3, 0.0, ctx) ** 4 * theta(4, 0.0, ctx) ** 4
-               / (theta(1, eta, ctx) * theta(3, eta, ctx) ** 4 * theta(4, eta, ctx) ** 4))
+        lhs = 1 - zetas[i] ** 2 + 2 * gammas[i]
+        rhs = (t1_3e[i] * theta(3, 0.0, ctx) ** 4 * theta(4, 0.0, ctx) ** 4
+               / (t1_e[i] * t3_e[i] ** 4 * t4_e[i] ** 4))
         tally("coupling_combination_product", _rel(lhs, rhs))
 
     # determinant of the linear system for the correlators (eta-derivative form)

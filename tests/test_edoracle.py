@@ -15,9 +15,12 @@ from susyxyz.edoracle import (
     DEFAULT_ZETA_GRID,
     DENSE_DIM_MAX,
     L_MAX,
+    TRANSFER_POINTS,
+    ComplexSiteTensor,
     L_MAX_TRANSFER,
     NearSingularInversion,
     SizeLimit,
+    _apply_stack,
     _orbits,
     _site_tensor,
     _start_vector,
@@ -475,6 +478,54 @@ def test_transfer_apply_matches_kron_reference(L, tau):
         expected = _kron_transfer_matrix(L, u, np.pi / 3, tau) @ v
         got = transfer_apply(L, u, np.pi / 3, tau, v)
         assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+
+
+def _complex_apply_stack(Ws, vs):
+    # reference: the whole stack contracted at once in complex arithmetic,
+    # X[b, alpha0, s, rest, alpha] from delta(alpha0, alpha) v_b, one site per step
+    vs = np.asarray(vs, dtype=complex)
+    B, dim = vs.shape
+    half = dim // 2
+    Wm = np.transpose(np.asarray(Ws, dtype=complex), (0, 4, 1, 3, 2)).reshape(B, 2, 1, 2, 4)
+    X = (np.eye(2)[:, None, :] * vs[:, None, :, None]).reshape(B, 2, 2, half, 2)
+    for _ in range(dim.bit_length() - 1):
+        X = (X[:, :, 0] @ Wm[:, 0] + X[:, :, 1] @ Wm[:, 1]).reshape(B, 2, 2, half, 2)
+    X = X.reshape(B, 2, dim, 2)
+    return X[:, 0, :, 0] + X[:, 1, :, 1]
+
+
+@pytest.mark.parametrize("L", [3, 5, 7, 9, 11, 13])
+def test_real_chunked_kernel_matches_complex_stack(L):
+    rng = np.random.default_rng(L)
+    for tau in (0.5j, 1j):
+        for B in (1, 2, 5):
+            Ws = np.stack([_site_tensor(u, np.pi / 3, tau) for u in TRANSFER_POINTS[:B]])
+            v = rng.standard_normal((B, 2**L)) + 1j * rng.standard_normal((B, 2**L))
+            for vs in (v, v.real.copy()):
+                ref = _complex_apply_stack(Ws, vs)
+                got = _apply_stack(Ws, vs)
+                assert got.shape == ref.shape and got.dtype == complex
+                assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("L", [11, 13])
+def test_transfer_checks_do_not_depend_on_the_chunk_budget(monkeypatch, L):
+    import susyxyz.edoracle as edoracle
+
+    reports = []
+    for budget in (1, 32 * 10 * 2**L):  # one row per chunk; the whole stack in one
+        monkeypatch.setattr(edoracle, "TRANSFER_CHUNK_BYTES", budget)
+        reports.append(transfer_checks(L, 0.5j))
+    assert reports[0] == reports[1]
+
+
+def test_transfer_kernel_rejects_complex_weights():
+    v = np.ones(2**5)
+    with pytest.raises(ComplexSiteTensor):
+        transfer_apply(5, 0.77 + 0.1j, np.pi / 3, 1j, v)
+    with pytest.raises(ComplexSiteTensor):
+        transfer_apply(5, 0.77, np.pi / 3, complex(0.3, 1.0), v)
+    assert issubclass(ComplexSiteTensor, ValueError)
 
 
 def test_transfer_apply_beyond_dense_limit():

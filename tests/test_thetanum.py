@@ -22,6 +22,7 @@ from susyxyz.thetanum import (
     identity_suite,
     modular_values,
     expansion_E,
+    gamma_of_eta,
     qpochhammer,
     theta,
     theta_product,
@@ -265,6 +266,94 @@ def test_identity_suite_residuals(tau):
     for name, value in res.items():
         bound = 1e-10 if name in LEMMA_RESIDUALS else 1e-11
         assert value < bound, f"{name}: {value}"
+
+
+def _scalar_sample_residuals(tau, seed):
+    # the reference: identity_suite's per-sample identities as one scalar
+    # theta call per value, drawing and tallying sample by sample; only the
+    # entries this loop writes, in the order it first writes them
+    rng = thetanum.random.Random(seed)
+    ctx = theta_context(tau)
+    c2, c3 = ctx.scaled(2), ctx.scaled(3)
+    p = ctx.nome
+    rel = thetanum._rel
+    tripl_pref = qpochhammer(p**6, p**6) / qpochhammer(p**2, p**2) ** 3
+    res = {}
+
+    def tally(name, value):
+        res[name] = max(res.get(name, 0.0), value)
+
+    for _ in range(thetanum.IDENTITY_SAMPLES):
+        u = thetanum._rand_u(rng, tau)
+        x, y, v, w = (thetanum._rand_u(rng, tau) for _ in range(4))
+        for j in range(1, 5):
+            tally(f"series_vs_product_theta{j}", rel(theta(j, u, ctx), theta_product(j, u, ctx)))
+        lhs = theta(4, u / tau, theta_context(-1 / tau))
+        rhs = cmath.sqrt(tau / 1j) * cmath.exp(1j * u * u / (PI * tau)) * theta(2, u, ctx)
+        tally("modular_theta4_to_theta2", rel(lhs, rhs))
+        tally("double_nome_theta1",
+              rel(theta(4, 0.0, c2) * theta(1, 2 * u, c2), theta(1, u, ctx) * theta(2, u, ctx)))
+        tally("double_nome_theta4",
+              rel(theta(4, 0.0, c2) * theta(4, 2 * u, c2), theta(3, u, ctx) * theta(4, u, ctx)))
+        tally("half_nome_theta1",
+              rel(theta(2, 0.0, ctx) * theta(1, u, ctx), 2 * theta(1, u, c2) * theta(4, u, c2)))
+        tally("half_nome_theta2",
+              rel(theta(2, 0.0, ctx) * theta(2, u, ctx), 2 * theta(2, u, c2) * theta(3, u, c2)))
+        tally("duplication_theta1",
+              rel(theta(1, 2 * u, ctx),
+                  2 * theta(1, u, ctx) * theta(2, u, ctx) * theta(3, u, ctx) * theta(4, u, ctx)
+                  / (theta(2, 0.0, ctx) * theta(3, 0.0, ctx) * theta(4, 0.0, ctx))))
+        for j in range(1, 5):
+            tally(f"triplication_theta{j}",
+                  rel(theta(j, 3 * u, c3),
+                      tripl_pref * theta(j, u, ctx)
+                      * theta(j, PI / 3 + u, ctx) * theta(j, PI / 3 - u, ctx)))
+        t1 = (theta(1, x - y, ctx) * theta(1, x + y, ctx)
+              * theta(1, u - v, ctx) * theta(1, u + v, ctx))
+        t2 = (theta(1, x - u, ctx) * theta(1, x + u, ctx)
+              * theta(1, y - v, ctx) * theta(1, y + v, ctx))
+        t3 = (theta(1, x - v, ctx) * theta(1, x + v, ctx)
+              * theta(1, y - u, ctx) * theta(1, y + u, ctx))
+        tally("weierstrass_three_term",
+              abs(t1 - t2 + t3) / max(abs(t1), abs(t2), abs(t3), 1e-30))
+        tally("sum_diff_theta4",
+              rel(theta(4, 0.0, ctx) ** 2 * theta(4, x + y, ctx) * theta(4, x - y, ctx),
+                  theta(4, x, ctx) ** 2 * theta(4, y, ctx) ** 2
+                  - theta(1, x, ctx) ** 2 * theta(1, y, ctx) ** 2))
+        tally("sum_diff_theta3",
+              rel(theta(4, 0.0, ctx) ** 2 * theta(4, x + y, ctx) * theta(4, x - y, ctx),
+                  theta(3, x, ctx) ** 2 * theta(3, y, ctx) ** 2
+                  - theta(2, x, ctx) ** 2 * theta(2, y, ctx) ** 2))
+        tally("mixed_double_nome",
+              rel(theta(1, x + y, ctx) * theta(2, x - y, ctx),
+                  theta(1, 2 * x, c2) * theta(4, 2 * y, c2)
+                  + theta(4, 2 * x, c2) * theta(1, 2 * y, c2)))
+        lhs = (theta(3, u, ctx, 1) * theta(2, u, ctx) - theta(3, u, ctx) * theta(2, u, ctx, 1)) \
+            / theta(2, u, ctx) ** 2
+        rhs = theta(4, 0.0, ctx) ** 2 * theta(1, u, ctx) * theta(4, u, ctx) / theta(2, u, ctx) ** 2
+        tally("ratio32_derivative", rel(lhs, rhs))
+        eta = rng.uniform(0.2, 1.3)
+        lhs = 1 - zeta_of_eta(eta, tau) ** 2 + 2 * gamma_of_eta(eta, tau)
+        rhs = (theta(1, 3 * eta, ctx) * theta(3, 0.0, ctx) ** 4 * theta(4, 0.0, ctx) ** 4
+               / (theta(1, eta, ctx) * theta(3, eta, ctx) ** 4 * theta(4, eta, ctx) ** 4))
+        tally("coupling_combination_product", rel(lhs, rhs))
+    return res
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("tau", [0.5j, 1.3j, complex(0.2, 0.9)])
+def test_batched_identity_suite_matches_scalar_loop_bitwise(tau, seed):
+    ref = _scalar_sample_residuals(tau, seed)
+    got = identity_suite(tau, seed=seed)
+    assert [name for name in got if name in ref] == list(ref)
+    assert {name: _bits(got[name]) for name in ref} == {name: _bits(v) for name, v in ref.items()}
+
+
+def test_invariants_on_a_list_are_bit_identical_to_scalar_calls():
+    etas = [0.2, 0.731, PI / 3, 1.3]
+    for tau in (0.5j, 1j, complex(0.2, 0.9)):
+        for fn in (zeta_of_eta, gamma_of_eta):
+            assert [_bits(z) for z in fn(etas, tau)] == [_bits(fn(e, tau)) for e in etas]
 
 
 def test_half_way_ratio_is_exactly_half():
