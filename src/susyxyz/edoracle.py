@@ -1,7 +1,7 @@
 """Brute-force oracle: periodic XYZ chains at odd length, diagonalized in the
-momentum-zero sector of the even spin-flip sector, with correlators, the
-inferred correlation quantity, and the commuting eight-vertex transfer
-matrix.
+momentum-zero sector of the even spin-flip sector, split by reflection
+parity, with correlators, the inferred correlation quantity, and the
+commuting eight-vertex transfer matrix.
 
 Couplings follow J_x = 1 + zeta, J_y = 1 - zeta, J_z = (zeta^2 - 1)/2, the
 normalization in which the ground-state energy is exactly -L (zeta^2 + 3)/4
@@ -11,15 +11,26 @@ spins.  H commutes with translation, so it is diagonalized on the
 translation-invariant (k = 0) combinations of even-sector states, one per
 orbit under rotation, a space of dimension about 2^(L-1)/L; the ground state
 lies there, which the energy check against the closed form certifies.
-A k = 0 sector of dimension up to DENSE_DIM_MAX (L <= 13) is solved densely,
-its eigenvalues by `eigvalsh` and the ground vector by inverse iteration, so
-the eigenbasis is never formed; a larger one by one Lanczos run (ARPACK) on
-the sparse k = 0 matrix.  Both start from a vector seeded by L, drawn from
-the standard library's generator, so a result does not depend on what the
-process computed before and numpy.random is never imported.  scipy is
-imported only on the ARPACK path and by `sector_matrix(sparse=True)`.  The
-eigenvector is scattered back onto the even sector, where correlators are
-measured bond by bond.
+H also commutes with the reflection j -> L - 1 - j, which maps the k = 0
+state of an orbit to the k = 0 state of its mirror orbit without a phase,
+so the k = 0 sector splits into a reflection-even block (one state per
+orbit pair or self-mirrored orbit) and a reflection-odd block (one per
+pair), of about half the dimension each.  The ground state is taken from
+the block with the lower energy, and the gap from both.  Everything that
+does not depend on the couplings (the orbits, the bond partners, the
+mirror map) is one sector plan per L, kept while the k = 0 dimension is at
+most DENSE_DIM_MAX, where the samples of one L repeat it.
+
+A block of dimension up to DENSE_DIM_MAX is solved densely, its eigenvalues
+by `eigvalsh` and the ground vector by inverse iteration, so the eigenbasis
+is never formed; a larger one by Lanczos (ARPACK) on the sparse block.  Both
+start from a vector seeded by L, drawn from the standard library's
+generator, so a result does not depend on what the process computed before
+and numpy.random is never imported.  scipy is imported only on the ARPACK
+path and by `sector_matrix(sparse=True)`.  The ground vector is expanded to
+the k = 0 sector, where its residual is measured on the full k = 0 matrix,
+and scattered onto the even sector, where correlators are measured bond by
+bond.
 
 The eight-vertex transfer matrix comes from one site tensor, the R-matrix
 W[alpha, gamma, s', s], real for real u and pure-imaginary tau, the only
@@ -34,9 +45,12 @@ quasi-periodicity and the ground-state eigenvalue on vectors only.
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,15 +84,22 @@ L_MAX_TRANSFER = 15
 #: it the amplification alone lifts the residual past its bound
 L_MAX_LAMBDA_GATE = 9
 GAP_TOL = 1e-8
-#: largest k = 0 dimension solved densely (`_dense_ground_pair`); ARPACK above
-#: it.  Warm, per solve on a 2-vCPU Xeon, best of 10 at each zeta of
-#: DEFAULT_ZETA_GRID: dense 0.11-0.15 / 0.51-0.61 / 7.4-9.1 / 122-159 ms at
-#: dimension 30 / 94 / 316 / 1096 (L = 9 / 11 / 13 / 15), `eigsh` 0.46-0.59 /
-#: 1.1-1.6 / 1.6-2.3 / 3.5-19 ms, and the first ARPACK solve in a process also
-#: pays about 0.25 s to import scipy.  Over the 10-point sweep dense wins at
-#: 316 (0.08 s against 0.27 s) and loses at 1096 (1.3 s against 0.36 s), so
-#: the crossover lies between the two.
+#: largest reflection-block dimension solved densely (`eigvalsh`, then
+#: `_inverse_iteration` on the ground block); ARPACK above it.  Warm, per
+#: solve on a 2-vCPU Xeon with one BLAS thread, best of 10 at each zeta of
+#: DEFAULT_ZETA_GRID: dense 0.8-1.3 / 2.8-3.0 / 20-21 / 35-36 ms at block
+#: dimension 126 / 190 / 484 / 612 (L = 13 odd and even, L = 15 odd and
+#: even), `eigsh` for two eigenpairs 1.9-3.9 / 2.8-3.5 / 3.0-4.7 / 2.1-3.8
+#: ms, and the first ARPACK solve in a process also pays about 0.25 s to
+#: import scipy.  So the crossover lies near 190, and at L = 15 the dense odd
+#: block costs about 0.17 s over the 10-point sweep.  The bound stays above
+#: the k = 0 dimension 316 of L = 13 so that L <= 13 runs without scipy and
+#: its sector plan is cached (`_sector_plan`).
 DENSE_DIM_MAX = 512
+#: rows per slice of a row-wise build of H (`_row_chunks`): 0.8 MB per
+#: temporary at L = 25.  At L = 21, 2^14 rows lift the ground state's peak
+#: RSS by 2.5 MiB; 2^10 cost 5 % more time and save nothing more.
+ROW_CHUNK = 1 << 12
 INVERSION_EXCLUSION = 1e-3
 
 #: ed_verify's bounds: per (L, zeta) sample the relative ground energy, the
@@ -145,6 +166,32 @@ def _bonds(L: int, states: np.ndarray):
         yield zz, (states ^ ((1 << j) | (1 << k))) >> 1
 
 
+def _even_sector(L: int) -> np.ndarray:
+    """States with an even number of down spins, in increasing order:
+    2t + parity(t) for t < 2^(L-1), so state s sits at s >> 1."""
+    # int32 holds every state up to L_MAX and halves the memory traffic of
+    # the orbit search
+    t = np.arange(2 ** (L - 1), dtype=np.int32)
+    parity = t.copy()
+    for shift in (16, 8, 4, 2, 1):
+        parity ^= parity >> shift
+    return 2 * t + (parity & 1)
+
+
+def _smallest_rotation(L: int, states: np.ndarray) -> np.ndarray:
+    """Each state's minimum over its L rotations."""
+    mask = (1 << L) - 1
+    rep = states.copy()
+    x = states.copy()
+    for _ in range(L - 1):
+        top = x >> (L - 1)
+        x <<= 1
+        x &= mask
+        x |= top
+        np.minimum(rep, x, out=rep)
+    return rep
+
+
 def _orbits(L: int, sec: np.ndarray):
     """Translation orbits of the even sector.
 
@@ -153,43 +200,147 @@ def _orbits(L: int, sec: np.ndarray):
     of its orbit; the representatives in increasing order; and the length
     N_r of each orbit.
     """
-    mask = (1 << L) - 1
-    rep = sec.copy()
-    x = sec.copy()
-    for _ in range(L - 1):
-        top = x >> (L - 1)
-        x <<= 1
-        x &= mask
-        x |= top
-        np.minimum(rep, x, out=rep)
+    rep = _smallest_rotation(L, sec)
     reps = sec[rep == sec]
-    orbit = np.searchsorted(reps, rep)
+    # int32, half of searchsorted's index type, as orbit spans the sector
+    orbit = np.searchsorted(reps, rep).astype(np.int32)
     return orbit, reps, np.bincount(orbit)
 
 
-def _momentum_zero_matrix(L, couplings, orbit, reps, lengths):
+def _k0_dim(L: int) -> int:
+    """The number of even-sector orbits at odd L, by Burnside's lemma: the
+    rotation by g fixes the 2^(gcd(g, L) - 1) even states that repeat with
+    period gcd(g, L)."""
+    return sum(2 ** (math.gcd(g, L) - 1) for g in range(L)) // L
+
+
+@dataclass(frozen=True)
+class _SectorPlan:
+    """The coupling-independent structure of the k = 0 sector at one L.
+
+    The orbit index of every even-sector state and the orbit
+    representatives, lengths and columns are those of `_orbits` and
+    `_momentum_zero_matrix`; zz[r, j] is s_j s_{j+1} on representative r,
+    and mirror[r] the orbit of r with its L bits reversed.  The arrays are
+    read-only, as a plan may be shared by every sample of its L.
+    """
+
+    L: int
+    sec: np.ndarray       # even-sector states, increasing
+    orbit: np.ndarray     # orbit index of each sector state
+    reps: np.ndarray      # smallest member of each orbit, increasing
+    lengths: np.ndarray   # N_r
+    cols: np.ndarray      # (n, L + 1) int32: the orbit of each bond's partner, then r
+    zz: np.ndarray        # (n, L) int8
+    mirror: np.ndarray    # orbit of the reflected representative
+
+
+def _build_plan(L: int) -> _SectorPlan:
+    sec = _even_sector(L)
+    orbit, reps, lengths = _orbits(L, sec)
+    n = len(reps)
+    # int32 is the index type CSR stores, so `_csr` takes cols without a copy
+    cols = np.empty((n, L + 1), dtype=np.int32)
+    zz = np.empty((n, L), dtype=np.int8)
+    rev = np.zeros_like(reps)
+    for j, (z, partner) in enumerate(_bonds(L, reps)):
+        zz[:, j] = z
+        cols[:, j] = orbit[partner]
+        rev |= ((reps >> j) & 1) << (L - 1 - j)
+    cols[:, L] = np.arange(n)
+    mirror = np.searchsorted(reps, _smallest_rotation(L, rev))
+    plan = _SectorPlan(L, sec, orbit, reps, lengths, cols, zz, mirror)
+    for a in (sec, orbit, reps, lengths, cols, zz, mirror):
+        a.flags.writeable = False
+    return plan
+
+
+_cached_plan = functools.cache(_build_plan)
+
+
+def _sector_plan(L: int) -> _SectorPlan:
+    """The plan of L: memoised while the k = 0 dimension is at most
+    DENSE_DIM_MAX (L <= 13), where the samples of one L repeat it; built
+    per call above, so that no array of length 2^(L-1) outlives its call."""
+    return _cached_plan(L) if _k0_dim(L) <= DENSE_DIM_MAX else _build_plan(L)
+
+
+def _row_chunks(n: int):
+    """Slices of at most ROW_CHUNK rows covering n rows, so that a row-wise
+    build of H has no temporary of H's size."""
+    return (slice(lo, lo + ROW_CHUNK) for lo in range(0, n, ROW_CHUNK))
+
+
+def _momentum_zero_matrix(plan: _SectorPlan, couplings, rows=slice(None)):
     """H in the normalised orbit basis |r> = N_r^(-1/2) sum of the N_r
     rotations of r, as fixed-width arrays (cols, vals) of shape (n, L + 1):
-    row r of H is the sum of vals[r, i] at column cols[r, i].
+    row r of H is the sum of vals[r, i] at column cols[r, i].  Given
+    ``rows``, only those rows of H, in that order.
 
     Row r holds, for each bond, the orbit r' of the flipped state with
     amplitude -(Jx - Jy zz)/2 sqrt(N_r/N_r'), then the diagonal; that row is
     column r of H, and H is symmetric.  Two bonds can lead to the same orbit,
     and a hop can lead back into r's own, so a row may repeat a column; every
-    consumer sums repeated entries.
+    consumer sums repeated entries.  For a slice of rows cols is a view of
+    the plan's read-only array, for an index array a copy of its own.
     """
     Jx, Jy, Jz = couplings
-    n = len(reps)
-    root = np.sqrt(lengths)
-    # int32 is the index type CSR stores, so `_csr` takes cols without a copy
-    cols = np.empty((n, L + 1), dtype=np.int32)
-    vals = np.zeros((n, L + 1))
-    cols[:, L] = np.arange(n)
-    for j, (zz, partner) in enumerate(_bonds(L, reps)):
-        vals[:, L] -= 0.5 * Jz * zz
-        cols[:, j] = orbit[partner]
-        vals[:, j] = -0.5 * (Jx - Jy * zz) * root / root[cols[:, j]]
+    L, cols, zz = plan.L, plan.cols[rows], plan.zz[rows]
+    root = np.sqrt(plan.lengths)
+    root_rows = root[rows]
+    vals = np.empty(cols.shape)
+    for part in _row_chunks(len(cols)):
+        z = zz[part]
+        vals[part, :L] = -0.5 * (Jx - Jy * z) * root_rows[part, None] / root[cols[part, :L]]
+        vals[part, L] = -0.5 * Jz * z.sum(axis=1)
     return cols, vals
+
+
+class _Block(NamedTuple):
+    """One reflection-parity block of the k = 0 matrix, as fixed-width rows
+    (cols, vals) in the layout of `_momentum_zero_matrix`, with the map back:
+    a block vector x has the k = 0 coefficients c_r = weight[r] x[index[r]]."""
+
+    parity: str
+    cols: np.ndarray
+    vals: np.ndarray
+    index: np.ndarray
+    weight: np.ndarray
+
+
+def _parity_blocks(plan: _SectorPlan, couplings) -> tuple[_Block, _Block]:
+    """H's k = 0 rows split into the reflection-even and the reflection-odd
+    block.
+
+    A class is an orbit r with its mirror R(r), represented by the smaller
+    of the two; a pair (r < R(r)) spans the even state (|r> + |R(r)>)/sqrt(2)
+    and the odd state (|r> - |R(r)>)/sqrt(2), a self-mirrored orbit only the
+    even state |r>.  So weight[r] is 1/sqrt(2) on pair members and 1 on
+    self-mirrored orbits in the even block, +-1/sqrt(2) on the smaller and
+    the larger member and 0 on self-mirrored orbits in the odd block.  As H
+    commutes with the reflection, block row a is the k = 0 row of a's
+    representative with each column r' moved to index[r'] and its value
+    scaled by weight[r'] / weight[a]: sqrt(2) for a pair row, 1/sqrt(2) for
+    a pair column in the even block; +-1 in the odd block, where a
+    self-mirrored column drops out with weight 0.  Only the block rows'
+    k = 0 rows are built.
+    """
+    mirror = plan.mirror
+    own = np.arange(len(mirror))
+    cls = np.minimum(own, mirror)
+    blocks = []
+    for parity, rows, weight in (
+        ("even", np.flatnonzero(own <= mirror), np.where(own == mirror, 1.0, np.sqrt(0.5))),
+        ("odd", np.flatnonzero(own < mirror), np.sign(mirror - own) * np.sqrt(0.5)),
+    ):
+        # a self-mirrored orbit has odd weight 0, so any index in range serves it
+        index = np.searchsorted(rows, cls).clip(max=max(len(rows) - 1, 0)).astype(np.int32)
+        cols, vals = _momentum_zero_matrix(plan, couplings, rows)
+        for part in _row_chunks(len(rows)):
+            vals[part] *= weight[cols[part]] / weight[rows[part], None]
+            cols[part] = index[cols[part]]
+        blocks.append(_Block(parity, cols, vals, index, weight))
+    return tuple(blocks)
 
 
 def _csr(cols, vals):
@@ -220,23 +371,16 @@ class SpinOperator:
     def sector_indices(self) -> np.ndarray:
         """Basis indices with an even number of down spins, in increasing
         order: 2t + parity(t) for t < 2^(L-1), so state s sits at s >> 1."""
-        # int32 holds every state up to L_MAX and halves the memory traffic
-        # of the orbit search
-        t = np.arange(2 ** (self.L - 1), dtype=np.int32)
-        parity = t.copy()
-        for shift in (16, 8, 4, 2, 1):
-            parity ^= parity >> shift
-        return 2 * t + (parity & 1)
+        return _even_sector(self.L)
 
     def sector_matrix(self, sparse: bool = True):
         """Hamiltonian restricted to the momentum-zero (k = 0) sector of the
-        even sector, as CSR or dense.
+        even sector, as CSR or dense, both parity blocks in one matrix.
 
         The basis is the normalised translation orbits of even-sector states,
         ordered by their smallest member; the dimension is about 2^(L-1)/L.
         """
-        orbit, reps, lengths = _orbits(self.L, self.sector_indices())
-        rows = _momentum_zero_matrix(self.L, self.couplings, orbit, reps, lengths)
+        rows = _momentum_zero_matrix(_sector_plan(self.L), self.couplings)
         return _csr(*rows) if sparse else _dense(*rows)
 
 
@@ -263,6 +407,9 @@ class GroundState:
     residual: float             # ||H c - E c|| in the k = 0 sector
     gap: float                  # relative k = 0 gap (E1 - E0) / max(|E0|, 1)
     dim: int                    # dimension of the k = 0 sector
+    even_dim: int               # dimension of its reflection-even block
+    odd_dim: int                # dimension of its reflection-odd block
+    ground_block: str           # "even" or "odd": the block holding E0
 
 
 def _start_vector(L: int, n: int) -> np.ndarray:
@@ -273,25 +420,52 @@ def _start_vector(L: int, n: int) -> np.ndarray:
     return np.frombuffer(bits.to_bytes(8 * n, "little"), dtype="<u8") * 2.0**-63 - 1.0
 
 
-def _residual(cols, vals, c: np.ndarray, e: float) -> float:
-    """||H c - e c|| with H given by its fixed-width rows."""
-    return float(np.linalg.norm((vals * c[cols]).sum(axis=1) - e * c))
+def _residual(plan: _SectorPlan, couplings, c: np.ndarray, e: float) -> float:
+    """||H c - e c|| on the k = 0 rows of H, built ROW_CHUNK at a time so
+    that no temporary has the size of H; each row's sum is the one the
+    whole matrix would give."""
+    hc = np.empty_like(c)
+    for part in _row_chunks(len(c)):
+        cols, vals = _momentum_zero_matrix(plan, couplings, part)
+        terms = c[cols]
+        terms *= vals
+        hc[part] = terms.sum(axis=1)
+    return float(np.linalg.norm(hc - e * c))
 
 
-def _dense_ground_pair(cols, vals, L: int):
-    """e0, e1, the ground vector and its residual, without the eigenbasis:
-    the eigenvalues by `eigvalsh`, the vector by inverse iteration on one
-    copy of H shifted to sigma = e0 - GAP_TOL max(|e0|, 1) / 100, from a
-    start vector seeded by L.
+def _lowest(block: _Block, L: int, k: int):
+    """The lowest eigenvalues of a block, in increasing order, and its ground
+    vector or None: up to dimension DENSE_DIM_MAX all eigenvalues by
+    `eigvalsh` and no vector; above it k eigenpairs by Lanczos (ARPACK) on
+    the sparse block, from the start vector seeded by L."""
+    n = len(block.cols)
+    if n <= DENSE_DIM_MAX:
+        return np.linalg.eigvalsh(_dense(block.cols, block.vals)), None
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
+    # Without a start vector ARPACK draws one from a generator whose state
+    # persists across calls, so the result would depend on earlier calls.
+    try:
+        evals, vecs = eigsh(_csr(block.cols, block.vals), k=k, which="SA",
+                            v0=_start_vector(L, n))
+    except ArpackNoConvergence as exc:
+        raise NoConvergence(str(exc)) from exc
+    order = np.argsort(evals)
+    return evals[order], vecs[:, order[0]]
+
+
+def _inverse_iteration(block: _Block, L: int, e0: float, e1: float) -> np.ndarray:
+    """The ground vector of a dense block with lowest eigenvalues e0 < e1,
+    by inverse iteration on one copy of the block shifted to
+    sigma = e0 - GAP_TOL max(|e0|, 1) / 100, from a start vector seeded by L.
 
     Each solve of (H - sigma) x = c shrinks the excited components by
     rho = (e0 - sigma) / (e1 - sigma), so the number of solves is known in
     advance: the fewest with rho^k at most the unit roundoff 2^-53.  At any
     gap that passes GAP_TOL rho is at most 1e-2, so k <= 8; on the default
-    zeta grid at L <= 13 rho lies between 7.5e-11 and 1.1e-9, so k = 2.
+    zeta grid at L <= 13 rho is far below 1e-8, so k = 2.
     """
-    H = _dense(cols, vals)
-    e0, e1 = np.linalg.eigvalsh(H)[:2]
+    H = _dense(block.cols, block.vals)
     shift = 1e-2 * GAP_TOL * max(abs(e0), 1.0)
     rho = shift / (e1 - e0 + shift)
     H.flat[:: len(H) + 1] -= e0 - shift
@@ -301,44 +475,55 @@ def _dense_ground_pair(cols, vals, L: int):
         c /= np.linalg.norm(c)
         if rho**k <= 2.0**-53:
             break
-    return e0, e1, c, _residual(cols, vals, c, e0)
+    return c
 
 
-def _ground_state(op: SpinOperator) -> GroundState:
-    """Two lowest eigenvalues and the ground vector of the k = 0 matrix: by
-    `_dense_ground_pair` up to dimension DENSE_DIM_MAX, above it by Lanczos
-    (ARPACK) from the same seeded start vector.  The k = 0 coefficient c_r
-    of orbit r becomes c_r / sqrt(N_r) on each of its N_r even-sector states.
+def _block_ground(op: SpinOperator, plan: _SectorPlan):
+    """The two lowest eigenvalues and the ground vector of the k = 0 matrix,
+    from its two reflection-parity blocks (`_parity_blocks`), each solved by
+    `_lowest`: e0 is the lower of the two blocks' lowest eigenvalues, e1 the
+    lower of the ground block's second and the other block's lowest.  On
+    ARPACK the even block, where the supersymmetric ground state lies, is
+    asked for two eigenpairs and the odd block for one; should the odd block
+    hold e0 it is solved again for two.  A dense ground block gets its
+    vector by `_inverse_iteration`, once the gap has passed GAP_TOL.
+
+    Returns e0, the relative gap, the ground vector's k = 0 coefficients c,
+    the (even, odd) block dimensions and the ground block's parity.
     """
-    sec = op.sector_indices()
-    orbit, reps, lengths = _orbits(op.L, sec)
-    cols, vals = _momentum_zero_matrix(op.L, op.couplings, orbit, reps, lengths)
-    n = len(reps)
-    if n <= DENSE_DIM_MAX:
-        e0, e1, c, residual = _dense_ground_pair(cols, vals, op.L)
-    else:
-        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-
-        # Without a start vector ARPACK draws one from a generator whose
-        # state persists across calls, so the result would depend on earlier
-        # calls.
-        try:
-            evals, vecs = eigsh(_csr(cols, vals), k=2, which="SA", v0=_start_vector(op.L, n))
-        except ArpackNoConvergence as exc:
-            raise NoConvergence(str(exc)) from exc
-        order = np.argsort(evals)
-        (e0, e1), c = evals[order[:2]], vecs[:, order[0]]
-        residual = _residual(cols, vals, c, e0)
-    scale = max(abs(e0), 1.0)
-    gap = float((e1 - e0) / scale)
+    blocks = _parity_blocks(plan, op.couplings)
+    levels = [_lowest(b, op.L, k) for b, k in zip(blocks, (2, 1))]
+    g = int(len(levels[1][0]) > 0 and levels[1][0][0] < levels[0][0][0])
+    if len(levels[g][0]) < min(2, len(blocks[g].cols)):
+        levels[g] = _lowest(blocks[g], op.L, 2)
+    (ground, x), other = levels[g], levels[1 - g][0]
+    e0 = ground[0]
+    e1 = min(ground[1:2].tolist() + other[:1].tolist())
+    gap = float((e1 - e0) / max(abs(e0), 1.0))
     if gap < GAP_TOL:
         raise DegenerateSectorGround(
             f"sector gap {gap:.2e} below {GAP_TOL} for L={op.L}, couplings={op.couplings}"
         )
+    block = blocks[g]
+    if x is None:
+        x = _inverse_iteration(block, op.L, e0, ground[1] if len(ground) > 1 else np.inf)
+    dims = (len(blocks[0].cols), len(blocks[1].cols))
+    return float(e0), gap, block.weight * x[block.index], dims, block.parity
+
+
+def _ground_state(op: SpinOperator) -> GroundState:
+    """The ground state of the k = 0 matrix by `_block_ground`, whose blocks
+    are freed before the residual is taken on the k = 0 rows.  The
+    k = 0 coefficient c_r of orbit r becomes c_r / sqrt(N_r) on each of its
+    N_r even-sector states.
+    """
+    plan = _sector_plan(op.L)
+    e0, gap, c, (even_dim, odd_dim), parity = _block_ground(op, plan)
     return GroundState(
-        L=op.L, couplings=op.couplings, energy=float(e0),
-        vector=(c / np.sqrt(lengths))[orbit], sector=sec, residual=residual,
-        gap=gap, dim=n,
+        L=op.L, couplings=op.couplings, energy=e0,
+        vector=(c / np.sqrt(plan.lengths))[plan.orbit], sector=plan.sec,
+        residual=_residual(plan, op.couplings, c, e0), gap=gap, dim=len(c),
+        even_dim=even_dim, odd_dim=odd_dim, ground_block=parity,
     )
 
 
@@ -347,11 +532,13 @@ def ground_state_even_sector(L: int, zeta: float) -> GroundState:
     subsector, where the ground state lies: its energy is checked against
     -L (zeta^2 + 3)/4 by the callers.
 
-    Up to dimension DENSE_DIM_MAX the two lowest eigenvalues of the k = 0
-    matrix come from dense `eigvalsh` and the ground vector from inverse
-    iteration just below e0; above it both come from Lanczos on the sparse
-    matrix.  Both paths start from one vector seeded by L.  The result is
-    verified by its residual and relative gap, never assumed.
+    The k = 0 matrix is solved as its reflection-even and reflection-odd
+    blocks.  Up to dimension DENSE_DIM_MAX a block's eigenvalues come from
+    dense `eigvalsh` and its ground vector from inverse iteration just below
+    e0; above it from Lanczos on the sparse block.  Both paths start from a
+    vector seeded by L.  The ground block is the one with the lower energy,
+    never assumed, and the result is verified by its residual on the full
+    k = 0 matrix and by its relative gap.
     """
     return _ground_state(build_hamiltonian(L, zeta))
 
@@ -390,6 +577,9 @@ def infer_f(L: int, zeta: float) -> dict:
         "gap": state.gap,
         "residual": state.residual,
         "dim": state.dim,
+        "even_dim": state.even_dim,
+        "odd_dim": state.odd_dim,
+        "ground_block": state.ground_block,
     }
 
 
@@ -613,7 +803,8 @@ def ed_verify(Ls=(3, 5, 7, 9, 11), zetas=DEFAULT_ZETA_GRID, transfer=False) -> d
             entry["f_inferred"] = inf["f_z"]
             entry["f_agreement"] = max(three_way, abs(inf["f_z"] - fe))
             entry["per_bond_spread"] = inf["spread"]
-            entry["dim"] = inf["dim"]
+            for key in ("dim", "even_dim", "odd_dim", "ground_block"):
+                entry[key] = inf[key]
             entry["gap"] = inf["gap"]
             entry["residual"] = inf["residual"]
             entry["ok"] = (

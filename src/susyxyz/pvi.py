@@ -59,6 +59,14 @@ Z_OF_S = ratfunc_simplify(
     (_S - 1) ** 4 * (_S + 2) * (2 * _S + 1), _S * (_S + 1) ** 4
 )
 
+#: dt/ds, the chain-rule factor of every t-derivative along the orbit
+DT_DS = T_OF_S.derivative()
+
+#: the n-independent parts of `fpqp_residual`'s Hamiltonian expression for
+#: f_n: the leading term, and the prefactor of H before its 1/(2n+1)^2
+_FPQP_FIRST = ratfunc_simplify((_S * _S + _S + 1) * (_S * _S + 4 * _S + 1), (_S + 1) ** 4)
+_FPQP_PREF = ratfunc_simplify(4 * (2 * _S + 1) ** 3 * (_S * _S + 4 * _S + 1), _S * (_S + 1) ** 4)
+
 
 @dataclass(frozen=True)
 class PVIParams:
@@ -129,13 +137,9 @@ def hamiltonian(point: PVIPoint, params: PVIParams | None = None) -> RatFunc:
     return _H(point.q, point.p, point.t, params or point.params)
 
 
-def _dt_ds() -> RatFunc:
-    return T_OF_S.derivative()
-
-
 def _reconstruct_p(q: RatFunc, t: RatFunc, prm: PVIParams) -> RatFunc:
     """Momentum from q, dq/dt and the parameters."""
-    dq_dt = q.derivative() / _dt_ds()
+    dq_dt = q.derivative() / DT_DS
     try:
         return (
             prm.a4 / q
@@ -178,10 +182,9 @@ def iterate_T(n: int) -> PVIPoint:
 def hamilton_residuals(point: PVIPoint) -> tuple[RatFunc, RatFunc]:
     """t(t-1) dq/dt - dH/dp and t(t-1) dp/dt + dH/dq; both must vanish."""
     q, p, t, prm = point.q, point.p, point.t, point.params
-    dts = _dt_ds()
     tt1 = t * (t - 1)
-    r1 = tt1 * (q.derivative() / dts) - _dH_dp(q, p, t, prm)
-    r2 = tt1 * (p.derivative() / dts) + _dH_dq(q, p, t, prm)
+    r1 = tt1 * (q.derivative() / DT_DS) - _dH_dp(q, p, t, prm)
+    r2 = tt1 * (p.derivative() / DT_DS) + _dH_dq(q, p, t, prm)
     return r1, r2
 
 
@@ -202,13 +205,8 @@ def fpqp_residual(n: int) -> RatFunc:
     point = iterate_T(n)
     L2 = (2 * n + 1) ** 2
     Hp = _H(point.q, point.p, point.t, _shifted_hamiltonian_params(n))
-    first = ratfunc_simplify(
-        (_S * _S + _S + 1) * (_S * _S + 4 * _S + 1), (_S + 1) ** 4
-    )
-    pref = ratfunc_simplify(
-        4 * (2 * _S + 1) ** 3 * (_S * _S + 4 * _S + 1), L2 * _S * (_S + 1) ** 4
-    )
-    rhs = first - pref * (Hp + Fraction(L2, 4) * point.t)
+    pref = _FPQP_PREF * Fraction(1, L2)
+    rhs = _FPQP_FIRST - pref * (Hp + Fraction(L2, 4) * point.t)
     return rhs - f_in_s(n)
 
 
@@ -242,9 +240,8 @@ def pvi_ode_residual(point: PVIPoint) -> RatFunc:
     """Residual of the second-order algebraic Painleve VI equation for q(t),
     via the chain rule through s; zero for genuine solutions."""
     q, t, prm = point.q, point.t, point.params
-    dts = _dt_ds()
-    q_t = q.derivative() / dts
-    q_tt = q_t.derivative() / dts
+    q_t = q.derivative() / DT_DS
+    q_tt = q_t.derivative() / DT_DS
     al = prm.a1**2 / 2
     be = -(prm.a4**2) / 2
     ga = prm.a3**2 / 2

@@ -347,8 +347,8 @@ def _ddt_grid(tau: complex) -> tuple:
         "T1": theta(1, u3, c3), "T1p": theta(1, u3, c3, 1), "T1pp": theta(1, u3, c3, 2),
         "T3": theta(3, u32, c32), "T3p": theta(3, u32, c32, 1), "T3pp": theta(3, u32, c32, 2),
         "T4": theta(4, u32, c32),
-        "P1": [weierstrass_p(u, PI / 3, PI * tau) for u in grid],
-        "P2": [weierstrass_p(u + PI + PI * tau / 2, 2 * PI / 3, PI * tau) for u in grid],
+        "P1": weierstrass_p(grid, PI / 3, PI * tau),
+        "P2": weierstrass_p([u + PI + PI * tau / 2 for u in grid], 2 * PI / 3, PI * tau),
     }
     return np.array(grid), {k: np.array(v) for k, v in values.items()}
 

@@ -9,15 +9,16 @@ at randomized arguments.
 
 ``theta`` is memoised in a bounded LRU cache of 256 entries keyed by
 (j, u, ctx, order).  The Q pipeline evaluates its n-independent grids
-(solve, fresh-point and differential-difference sample points) once per
-nome through the list form of ``theta`` and keeps the values itself, and
-the identity suite evaluates each theta_j over all its samples by one list
+(solve, fresh-point and differential-difference sample points, the last
+with its Weierstrass P terms) once per nome through the list forms of
+``theta`` and ``weierstrass_p`` and keeps the values itself, and the
+identity suite evaluates each theta_j over all its samples by one list
 call, so the memo serves the scattered scalar calls.  Over the benchmark's
-q-sweep at seed 0 (35 720 calls), 256 entries serve 85.3 % of the calls
-from the cache, as do 512, 2048 and 4096; 128 entries serve 81.9 %, 64
-entries 81.3 % and 32 entries 52.4 %.  Of the 5 252 misses left at 256
-entries, 3 084 are the theta calls inside ``weierstrass_p`` on the Q
-pipeline's differential-difference grid, each at a fresh point.
+q-sweep at seed 0 (30 820 calls), 256 entries serve 92.7 % of the calls
+from the cache, as do 128, 512 and 4096; 64 entries serve 92.1 % and 32
+entries 54.8 %.  The 2 252 misses left are the first call at each key
+(4096 entries end with 2 252 of them filled), and seeds 1 and 3 read the
+same.
 A hit returns the value the series computed, so results are bit-identical
 with or without the memo; arguments that compare equal but differ in type
 (float and numpy float64) or in the sign of a zero also get the same bits
@@ -257,13 +258,17 @@ def theta_product(j: int, u: complex, ctx: ThetaContext) -> complex:
 
 # -- Weierstrass P ------------------------------------------------------
 
-def weierstrass_p(u: complex, w1: complex, w2: complex) -> complex:
+def weierstrass_p(u, w1: complex, w2: complex):
     """Weierstrass P for the lattice Z*w1 + Z*w2, normalized so the
     expansion at 0 is 1/u^2 + O(u^2) (no constant term).
 
     Built from the second logarithmic derivative of theta_1; the additive
     constant is theta_1'''(0)/(3 theta_1'(0)) scaled to the lattice, which
     is exactly the coefficient the no-constant-term normalization fixes.
+    A list of arguments gives a list, with theta_1 and its two derivatives
+    at all of them by one list call each, element by element the bits of
+    the call with that argument alone; an element on the lattice raises
+    LatticePoint as that call would.
     """
     ratio = w2 / w1
     if ratio.imag == 0:
@@ -272,14 +277,15 @@ def weierstrass_p(u: complex, w1: complex, w2: complex) -> complex:
         w1, w2 = w2, w1
         ratio = w2 / w1
     ctx = theta_context(ratio)
-    v = PI * u / w1
-    t1 = theta(1, v, ctx)
-    t1p = theta(1, v, ctx, 1)
-    t1pp = theta(1, v, ctx, 2)
-    if abs(t1) < 1e-12 * max(abs(t1p), 1.0):
-        raise LatticePoint(f"{u} is on (or too near) the period lattice")
+    v = [PI * x / w1 for x in u] if isinstance(u, list) else PI * u / w1
     c = theta(1, 0.0, ctx, 3) / (3.0 * theta(1, 0.0, ctx, 1))
-    return (PI / w1) ** 2 * ((t1p / t1) ** 2 - t1pp / t1 + c)
+
+    def value(x, t1, t1p, t1pp):
+        if abs(t1) < 1e-12 * max(abs(t1p), 1.0):
+            raise LatticePoint(f"{x} is on (or too near) the period lattice")
+        return (PI / w1) ** 2 * ((t1p / t1) ** 2 - t1pp / t1 + c)
+
+    return _each(value, u, *(theta(1, v, ctx, order) for order in (0, 1, 2)))
 
 
 # -- modular parameter maps ---------------------------------------------

@@ -17,11 +17,16 @@ from susyxyz.edoracle import (
     L_MAX,
     TRANSFER_POINTS,
     ComplexSiteTensor,
+    DegenerateSectorGround,
     L_MAX_TRANSFER,
     NearSingularInversion,
     SizeLimit,
     _apply_stack,
+    _dense,
+    _k0_dim,
     _orbits,
+    _parity_blocks,
+    _sector_plan,
     _site_tensor,
     _start_vector,
     boltzmann_weights,
@@ -402,6 +407,116 @@ def test_dense_and_arpack_branches_agree_across_the_crossover(L):
         assert abs(gs.energy - e0) <= 1e-12 * abs(e0)
         assert abs(gs.gap - (e1 - e0) / max(abs(e0), 1.0)) <= 1e-10
         assert abs(np.dot(gs.vector, ref)) >= 1 - 1e-12
+
+
+def _mirror_positions(L, sec):
+    # reference: the sector position of each state with its L bits reversed
+    rev = np.array([int(format(int(s), f"0{L}b")[::-1], 2) for s in sec])
+    return np.searchsorted(sec, rev)
+
+
+@pytest.mark.parametrize("L", [3, 5, 7, 9, 11, 13])
+def test_parity_blocks_split_the_momentum_zero_spectrum(L):
+    # the two blocks' spectra together are the k = 0 spectrum, and the
+    # ground state is reflection-even on the whole grid
+    plan = _sector_plan(L)
+    for zq in DEFAULT_ZETA_GRID:
+        op = build_hamiltonian(L, float(zq))
+        ref = np.linalg.eigvalsh(op.sector_matrix(sparse=False))
+        even, odd = _parity_blocks(plan, op.couplings)
+        assert (even.parity, odd.parity) == ("even", "odd")
+        spectra = [np.linalg.eigvalsh(_dense(b.cols, b.vals)) for b in (even, odd)]
+        got = np.sort(np.concatenate(spectra))
+        assert len(got) == len(ref) == _k0_dim(L)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert spectra[0][0] == got[0]
+
+
+def test_block_dimensions_are_reported():
+    gs = ground_state_even_sector(13, 0.4)
+    assert (gs.dim, gs.even_dim, gs.odd_dim, gs.ground_block) == (316, 190, 126, "even")
+    (sample,) = ed_verify(Ls=(11,), zetas=(Fraction(2, 5),))["samples"]
+    assert [sample[k] for k in ("dim", "even_dim", "odd_dim", "ground_block")] == [
+        94, 63, 31, "even"]
+
+
+def test_row_builds_do_not_depend_on_the_chunk_size(monkeypatch):
+    # every row-wise build is elementwise per row, so slicing changes no bit
+    import susyxyz.edoracle as edoracle
+
+    L = 11
+    plan = _sector_plan(L)
+    couplings = build_hamiltonian(L, 0.4).couplings
+    c = _start_vector(L, _k0_dim(L))
+    whole = _parity_blocks(plan, couplings), edoracle._residual(plan, couplings, c, -3.0)
+    monkeypatch.setattr(edoracle, "ROW_CHUNK", 7)
+    blocks, residual = _parity_blocks(plan, couplings), edoracle._residual(plan, couplings, c, -3.0)
+    assert residual == whole[1]
+    for got, want in zip(blocks, whole[0]):
+        assert np.array_equal(got.cols, want.cols) and np.array_equal(got.vals, want.vals)
+
+
+def test_sector_plan_is_cached_only_up_to_the_dense_bound():
+    for L in (3, 13, 15):
+        plan = _sector_plan(L)
+        assert len(plan.reps) == _k0_dim(L)
+        assert not any(a.flags.writeable for a in (plan.sec, plan.orbit, plan.cols, plan.mirror))
+        assert (_sector_plan(L) is plan) == (_k0_dim(L) <= DENSE_DIM_MAX)
+    # the mirror map is an involution that keeps the orbit length
+    plan = _sector_plan(11)
+    assert np.array_equal(plan.mirror[plan.mirror], np.arange(len(plan.mirror)))
+    assert np.array_equal(plan.lengths[plan.mirror], plan.lengths)
+
+
+def _with_levels(monkeypatch, change):
+    # every block solve goes through _lowest, so this changes what the
+    # ground-state selection sees, block by block
+    import susyxyz.edoracle as edoracle
+
+    real = edoracle._lowest
+
+    def patched(block, L, k):
+        levels, x = real(block, L, k)
+        return change(block.parity, levels), x
+
+    monkeypatch.setattr(edoracle, "_lowest", patched)
+
+
+@pytest.mark.parametrize("L", [11, 17])  # the odd block dense, and on ARPACK
+def test_odd_block_below_the_even_one_holds_the_ground_state(monkeypatch, L):
+    z = 0.4
+    op = build_hamiltonian(L, z)
+    even, odd = _parity_blocks(_sector_plan(L), op.couplings)
+    odd_levels = np.linalg.eigvalsh(_dense(odd.cols, odd.vals))[:2]
+    e_even = -L * (z * z + 3) / 4
+    # lift the even levels above the odd block's lowest
+    lift = odd_levels[0] - e_even + 1.0
+    _with_levels(monkeypatch, lambda parity, levels: levels + lift if parity == "even" else levels)
+    gs = ground_state_even_sector(L, z)
+    assert gs.ground_block == "odd"
+    assert abs(gs.energy - odd_levels[0]) <= 1e-12 * abs(odd_levels[0])
+    scale = abs(odd_levels[0])
+    expected_gap = (min(odd_levels[1], e_even + lift) - odd_levels[0]) / scale
+    assert abs(gs.gap - expected_gap) <= 1e-10
+    assert gs.residual <= 1e-12 * scale
+    # the vector is reflection-odd on the even sector
+    pos = _mirror_positions(L, gs.sector)
+    assert np.abs(gs.vector[pos] + gs.vector).max() < 1e-12
+
+
+@pytest.mark.parametrize("L", [11, 17])
+def test_odd_block_level_with_the_even_ground_is_degenerate(monkeypatch, L):
+    e0 = ground_state_even_sector(L, 0.4).energy
+
+    def level_with_even(parity, levels):
+        if parity == "odd":
+            levels = levels.copy()
+            levels[0] = e0
+        return levels
+
+    _with_levels(monkeypatch, level_with_even)
+    with pytest.raises(DegenerateSectorGround):
+        ground_state_even_sector(L, 0.4)
 
 
 def test_sector_ground_state_matches_full_space_reference():

@@ -13,6 +13,7 @@ from susyxyz.qsolver import (
     FE_BOUND,
     GAP_THRESHOLD,
     UNIT_ROUNDOFF,
+    _ddt_grid,
     _ladder_bank,
     _wronskian_constant,
     alternant,
@@ -25,7 +26,9 @@ from susyxyz.qsolver import (
     solve_q,
     wronskian_checks,
 )
-from susyxyz.thetanum import PI, ThetaContext, expansion_E, modular_values, theta
+from susyxyz.thetanum import (
+    PI, ThetaContext, expansion_E, modular_values, theta, weierstrass_p,
+)
 
 TAU = 1j
 
@@ -520,3 +523,15 @@ def test_solve_q_fe_and_wronskian_match_per_point_references(n, tau):
     assert functional_equation_residual(qc, list(fresh)) == _fe_residual_reference(qc, fresh)
     got = wronskian_checks(qc)["max_relation_residual"]
     assert got == _wronskian_residual_reference(qc)
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.5])
+def test_ddt_grid_weierstrass_columns_are_the_scalar_calls_bit_for_bit(t):
+    # one list call per column against one scalar call per grid point
+    tau = complex(0.0, t)
+    us, v = _ddt_grid(tau)
+    grid = us.tolist()
+    assert v["P1"].tolist() == [weierstrass_p(u, PI / 3, PI * tau) for u in grid]
+    assert v["P2"].tolist() == [
+        weierstrass_p(u + PI + PI * tau / 2, 2 * PI / 3, PI * tau) for u in grid
+    ]

@@ -110,6 +110,9 @@ def test_weierstrass_lattice_point_raises():
         weierstrass_p(0.0, 1.0, 1j)
     with pytest.raises(LatticePoint):
         weierstrass_p(1.0 + 1j, 1.0, 1j)
+    # the list form raises for the element on the lattice, as its call would
+    with pytest.raises(LatticePoint):
+        weierstrass_p([0.4, 1.0 + 1j, 0.7], 1.0, 1j)
 
 
 def weierstrass_p_lattice_sum(u: complex, w1: complex, w2: complex, cutoff: int = 40) -> complex:
