@@ -50,16 +50,25 @@ def _tau_imag(text: str) -> complex:
     return complex(0.0, im)
 
 
+def _items(item, text: str) -> list:
+    """The comma-separated values of a list option, each read by ``item``;
+    an empty list is a usage error, as it would run nothing."""
+    values = [item(x) for x in text.split(",") if x]
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one value")
+    return values
+
+
 def _nonneg_int_list(text: str) -> list[int]:
-    return [_nonneg_int(x) for x in text.split(",") if x]
+    return _items(_nonneg_int, text)
 
 
 def _length_list(text: str) -> list[int]:
-    return [_odd_length(x) for x in text.split(",") if x]
+    return _items(_odd_length, text)
 
 
 def _fraction_list(text: str) -> list[Fraction]:
-    return [_fraction(x) for x in text.split(",") if x]
+    return _items(_fraction, text)
 
 
 def _zeta_range(text: str) -> tuple[float, float, int]:

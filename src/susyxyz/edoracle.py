@@ -18,19 +18,18 @@ orbit pair or self-mirrored orbit) and a reflection-odd block (one per
 pair), of about half the dimension each.  The ground state is taken from
 the block with the lower energy, and the gap from both.  Everything that
 does not depend on the couplings (the orbits, the bond partners, the
-mirror map) is one sector plan per L, kept while the k = 0 dimension is at
-most DENSE_DIM_MAX, where the samples of one L repeat it.
+mirror map) is one sector plan per L.
 
-A block of dimension up to DENSE_DIM_MAX is solved densely, its eigenvalues
-by `eigvalsh` and the ground vector by inverse iteration, so the eigenbasis
-is never formed; a larger one by Lanczos (ARPACK) on the sparse block.  Both
-start from a vector seeded by L, drawn from the standard library's
-generator, so a result does not depend on what the process computed before
-and numpy.random is never imported.  scipy is imported only on the ARPACK
-path and by `sector_matrix(sparse=True)`.  The ground vector is expanded to
-the k = 0 sector, where its residual is measured on the full k = 0 matrix,
-and scattered onto the even sector, where correlators are measured bond by
-bond.
+One rule per L picks the solver (`_solved_densely`).  Up to L = 13, whose
+k = 0 dimension is within DENSE_DIM_MAX, both blocks are solved densely:
+eigenvalues by `eigvalsh`, the ground vector by inverse iteration, and the
+plan is kept for the other samples of that L.  From L = 15 both blocks go
+to Lanczos (ARPACK), and the plan is built per call.  Both paths start from
+a vector seeded by L from the standard library's generator, so a result
+does not depend on what the process computed before; numpy.random is never
+imported, and scipy only on the ARPACK path and by
+`sector_matrix(sparse=True)`.  The residual is measured on the k = 0 rows,
+the correlators bond by bond on the even sector.
 
 The eight-vertex transfer matrix comes from one site tensor, the R-matrix
 W[alpha, gamma, s', s], real for real u and pure-imaginary tau, the only
@@ -66,7 +65,6 @@ __all__ = [
     "GroundState",
     "couplings_from_zeta",
     "build_hamiltonian",
-    "build_from_couplings",
     "ground_state_even_sector",
     "measure_correlations",
     "infer_f",
@@ -84,17 +82,12 @@ L_MAX_TRANSFER = 15
 #: it the amplification alone lifts the residual past its bound
 L_MAX_LAMBDA_GATE = 9
 GAP_TOL = 1e-8
-#: largest reflection-block dimension solved densely (`eigvalsh`, then
-#: `_inverse_iteration` on the ground block); ARPACK above it.  Warm, per
-#: solve on a 2-vCPU Xeon with one BLAS thread, best of 10 at each zeta of
-#: DEFAULT_ZETA_GRID: dense 0.8-1.3 / 2.8-3.0 / 20-21 / 35-36 ms at block
-#: dimension 126 / 190 / 484 / 612 (L = 13 odd and even, L = 15 odd and
-#: even), `eigsh` for two eigenpairs 1.9-3.9 / 2.8-3.5 / 3.0-4.7 / 2.1-3.8
-#: ms, and the first ARPACK solve in a process also pays about 0.25 s to
-#: import scipy.  So the crossover lies near 190, and at L = 15 the dense odd
-#: block costs about 0.17 s over the 10-point sweep.  The bound stays above
-#: the k = 0 dimension 316 of L = 13 so that L <= 13 runs without scipy and
-#: its sector plan is cached (`_sector_plan`).
+#: largest k = 0 dimension whose L is solved densely (`eigvalsh`, then
+#: `_inverse_iteration` on the ground block), with its sector plan cached;
+#: both parity blocks of a larger L go to ARPACK.  The bound lies between
+#: the k = 0 dimensions 316 of L = 13 and 1096 of L = 15, so L <= 13 runs
+#: without scipy, and at L = 15 a block takes 2-5 ms by `eigsh` against
+#: 20-36 ms dense (warm, one BLAS thread, 2-vCPU Xeon).
 DENSE_DIM_MAX = 512
 #: rows per slice of a row-wise build of H (`_row_chunks`): 0.8 MB per
 #: temporary at L = 25.  At L = 21, 2^14 rows lift the ground state's peak
@@ -214,6 +207,12 @@ def _k0_dim(L: int) -> int:
     return sum(2 ** (math.gcd(g, L) - 1) for g in range(L)) // L
 
 
+def _solved_densely(L: int) -> bool:
+    """The one solver rule: L is solved densely, and its sector plan cached,
+    while its k = 0 dimension is at most DENSE_DIM_MAX (L <= 13)."""
+    return _k0_dim(L) <= DENSE_DIM_MAX
+
+
 @dataclass(frozen=True)
 class _SectorPlan:
     """The coupling-independent structure of the k = 0 sector at one L.
@@ -259,10 +258,10 @@ _cached_plan = functools.cache(_build_plan)
 
 
 def _sector_plan(L: int) -> _SectorPlan:
-    """The plan of L: memoised while the k = 0 dimension is at most
-    DENSE_DIM_MAX (L <= 13), where the samples of one L repeat it; built
-    per call above, so that no array of length 2^(L-1) outlives its call."""
-    return _cached_plan(L) if _k0_dim(L) <= DENSE_DIM_MAX else _build_plan(L)
+    """The plan of L: memoised on the dense path, where the samples of one L
+    repeat it; built per call above, so that no array of length 2^(L-1)
+    outlives its call."""
+    return _cached_plan(L) if _solved_densely(L) else _build_plan(L)
 
 
 def _row_chunks(n: int):
@@ -368,11 +367,6 @@ class SpinOperator:
     L: int
     couplings: tuple[float, float, float]
 
-    def sector_indices(self) -> np.ndarray:
-        """Basis indices with an even number of down spins, in increasing
-        order: 2t + parity(t) for t < 2^(L-1), so state s sits at s >> 1."""
-        return _even_sector(self.L)
-
     def sector_matrix(self, sparse: bool = True):
         """Hamiltonian restricted to the momentum-zero (k = 0) sector of the
         even sector, as CSR or dense, both parity blocks in one matrix.
@@ -387,11 +381,6 @@ class SpinOperator:
 def build_hamiltonian(L: int, zeta: float) -> SpinOperator:
     _check_length(L)
     return SpinOperator(L=L, couplings=couplings_from_zeta(zeta))
-
-
-def build_from_couplings(L: int, Jx: float, Jy: float, Jz: float) -> SpinOperator:
-    _check_length(L)
-    return SpinOperator(L=L, couplings=(float(Jx), float(Jy), float(Jz)))
 
 
 @dataclass
@@ -434,12 +423,11 @@ def _residual(plan: _SectorPlan, couplings, c: np.ndarray, e: float) -> float:
 
 
 def _lowest(block: _Block, L: int, k: int):
-    """The lowest eigenvalues of a block, in increasing order, and its ground
-    vector or None: up to dimension DENSE_DIM_MAX all eigenvalues by
-    `eigvalsh` and no vector; above it k eigenpairs by Lanczos (ARPACK) on
-    the sparse block, from the start vector seeded by L."""
-    n = len(block.cols)
-    if n <= DENSE_DIM_MAX:
+    """The lowest eigenvalues of a block of L, in increasing order, and its
+    ground vector or None: on the dense path all eigenvalues by `eigvalsh`
+    and no vector; above it k eigenpairs by Lanczos (ARPACK) on the sparse
+    block, from the start vector seeded by L."""
+    if _solved_densely(L):
         return np.linalg.eigvalsh(_dense(block.cols, block.vals)), None
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
@@ -447,7 +435,7 @@ def _lowest(block: _Block, L: int, k: int):
     # persists across calls, so the result would depend on earlier calls.
     try:
         evals, vecs = eigsh(_csr(block.cols, block.vals), k=k, which="SA",
-                            v0=_start_vector(L, n))
+                            v0=_start_vector(L, len(block.cols)))
     except ArpackNoConvergence as exc:
         raise NoConvergence(str(exc)) from exc
     order = np.argsort(evals)
@@ -478,69 +466,54 @@ def _inverse_iteration(block: _Block, L: int, e0: float, e1: float) -> np.ndarra
     return c
 
 
-def _block_ground(op: SpinOperator, plan: _SectorPlan):
-    """The two lowest eigenvalues and the ground vector of the k = 0 matrix,
-    from its two reflection-parity blocks (`_parity_blocks`), each solved by
-    `_lowest`: e0 is the lower of the two blocks' lowest eigenvalues, e1 the
-    lower of the ground block's second and the other block's lowest.  On
-    ARPACK the even block, where the supersymmetric ground state lies, is
-    asked for two eigenpairs and the odd block for one; should the odd block
-    hold e0 it is solved again for two.  A dense ground block gets its
-    vector by `_inverse_iteration`, once the gap has passed GAP_TOL.
-
-    Returns e0, the relative gap, the ground vector's k = 0 coefficients c,
-    the (even, odd) block dimensions and the ground block's parity.
+def _ground_state(L: int, couplings) -> GroundState:
+    """The lowest eigenpair of the k = 0 matrix, from its two
+    reflection-parity blocks (`_parity_blocks`), each solved by `_lowest`.
+    The ground block, never assumed, is the one with the lower lowest level
+    e0; e1 is the lower of its second level and the other block's lowest.
+    On ARPACK the even block, where the supersymmetric ground state lies, is
+    asked for two eigenpairs and the odd block for one, solved again for two
+    should it hold e0.  A dense ground block gets its vector by
+    `_inverse_iteration` once the gap has passed GAP_TOL.  The blocks are
+    freed before the residual is taken on the k = 0 rows, and the k = 0
+    coefficient c_r becomes c_r / sqrt(N_r) on each of the N_r states of
+    orbit r.
     """
-    blocks = _parity_blocks(plan, op.couplings)
-    levels = [_lowest(b, op.L, k) for b, k in zip(blocks, (2, 1))]
+    plan = _sector_plan(L)
+    blocks = _parity_blocks(plan, couplings)
+    levels = [_lowest(b, L, k) for b, k in zip(blocks, (2, 1))]
     g = int(len(levels[1][0]) > 0 and levels[1][0][0] < levels[0][0][0])
     if len(levels[g][0]) < min(2, len(blocks[g].cols)):
-        levels[g] = _lowest(blocks[g], op.L, 2)
+        levels[g] = _lowest(blocks[g], L, 2)
     (ground, x), other = levels[g], levels[1 - g][0]
-    e0 = ground[0]
+    e0 = float(ground[0])
     e1 = min(ground[1:2].tolist() + other[:1].tolist())
     gap = float((e1 - e0) / max(abs(e0), 1.0))
     if gap < GAP_TOL:
         raise DegenerateSectorGround(
-            f"sector gap {gap:.2e} below {GAP_TOL} for L={op.L}, couplings={op.couplings}"
+            f"sector gap {gap:.2e} below {GAP_TOL} for L={L}, couplings={couplings}"
         )
     block = blocks[g]
     if x is None:
-        x = _inverse_iteration(block, op.L, e0, ground[1] if len(ground) > 1 else np.inf)
-    dims = (len(blocks[0].cols), len(blocks[1].cols))
-    return float(e0), gap, block.weight * x[block.index], dims, block.parity
-
-
-def _ground_state(op: SpinOperator) -> GroundState:
-    """The ground state of the k = 0 matrix by `_block_ground`, whose blocks
-    are freed before the residual is taken on the k = 0 rows.  The
-    k = 0 coefficient c_r of orbit r becomes c_r / sqrt(N_r) on each of its
-    N_r even-sector states.
-    """
-    plan = _sector_plan(op.L)
-    e0, gap, c, (even_dim, odd_dim), parity = _block_ground(op, plan)
+        x = _inverse_iteration(block, L, e0, ground[1] if len(ground) > 1 else np.inf)
+    c = block.weight * x[block.index]
+    even_dim, odd_dim = (len(b.cols) for b in blocks)
+    parity = block.parity
+    del blocks, block, levels, x
     return GroundState(
-        L=op.L, couplings=op.couplings, energy=e0,
+        L=L, couplings=couplings, energy=e0,
         vector=(c / np.sqrt(plan.lengths))[plan.orbit], sector=plan.sec,
-        residual=_residual(plan, op.couplings, c, e0), gap=gap, dim=len(c),
+        residual=_residual(plan, couplings, c, e0), gap=gap, dim=len(c),
         even_dim=even_dim, odd_dim=odd_dim, ground_block=parity,
     )
 
 
 def ground_state_even_sector(L: int, zeta: float) -> GroundState:
     """Ground state of H in the even sector, found in its momentum-zero
-    subsector, where the ground state lies: its energy is checked against
-    -L (zeta^2 + 3)/4 by the callers.
-
-    The k = 0 matrix is solved as its reflection-even and reflection-odd
-    blocks.  Up to dimension DENSE_DIM_MAX a block's eigenvalues come from
-    dense `eigvalsh` and its ground vector from inverse iteration just below
-    e0; above it from Lanczos on the sparse block.  Both paths start from a
-    vector seeded by L.  The ground block is the one with the lower energy,
-    never assumed, and the result is verified by its residual on the full
-    k = 0 matrix and by its relative gap.
-    """
-    return _ground_state(build_hamiltonian(L, zeta))
+    subsector by `_ground_state`; its energy is checked against
+    -L (zeta^2 + 3)/4 by the callers."""
+    _check_length(L)
+    return _ground_state(L, couplings_from_zeta(zeta))
 
 
 def measure_correlations(state: GroundState):
@@ -554,10 +527,8 @@ def measure_correlations(state: GroundState):
         per_bond["x"].append(float(np.dot(psi, flipped)))
         per_bond["y"].append(float(-np.dot(psi, flipped * zz)))
     triple = tuple(float(np.mean(per_bond[a])) for a in "xyz")
-    spread = max(
-        abs(v - np.mean(per_bond[a])) for a in "xyz" for v in per_bond[a]
-    )
-    return triple, per_bond, float(spread)
+    spread = max(abs(v - mean) for a, mean in zip("xyz", triple) for v in per_bond[a])
+    return triple, per_bond, spread
 
 
 def infer_f(L: int, zeta: float) -> dict:

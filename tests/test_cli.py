@@ -167,6 +167,7 @@ def test_plot_data_csv(capsys, tmp_path):
     ["--n", "1,-2", "--zeta-range=0:1:2"],
     ["--zeta-range=0:1:-3"],
     ["--zeta-range=0:1:0"],
+    ["--n", ""],  # else a header of three columns over rows of two
 ])
 def test_plot_data_usage_errors_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -175,6 +176,20 @@ def test_plot_data_usage_errors_exit_2(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "plot-data: error: argument" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--L", ""],
+    ["--L", "3", "--zeta-grid", ""],
+], ids=["L", "zeta-grid"])
+def test_ed_verify_empty_list_exits_2(capsys, argv):
+    # an empty list would print a report of nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["ed-verify", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"ed-verify: error: argument {argv[-2]}: expected at least one value" in captured.err
 
 
 def test_output_dir_env(capsys, tmp_path, monkeypatch):
@@ -222,7 +237,7 @@ def test_failed_assertion_exits_1(capsys, monkeypatch):
     assert json.loads(out)["ok"] is False
 
 
-@pytest.mark.parametrize("grid", ["1,-1", ""])
+@pytest.mark.parametrize("grid", ["1,-1"])
 def test_ed_verify_without_a_checked_sample_exits_1(capsys, grid):
     code, out = run(capsys, "ed-verify", "--L", "3", f"--zeta-grid={grid}")
     assert code == 1

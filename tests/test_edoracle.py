@@ -23,6 +23,8 @@ from susyxyz.edoracle import (
     SizeLimit,
     _apply_stack,
     _dense,
+    _even_sector,
+    _ground_state,
     _k0_dim,
     _orbits,
     _parity_blocks,
@@ -30,7 +32,6 @@ from susyxyz.edoracle import (
     _site_tensor,
     _start_vector,
     boltzmann_weights,
-    build_from_couplings,
     build_hamiltonian,
     ed_verify,
     ground_state_even_sector,
@@ -119,7 +120,7 @@ def test_sector_matrix_consistent_with_full():
     # 3, so both amplitude factors sqrt(N_r/N_r') and its inverse occur
     for L in (5, 7, 9):
         op = build_hamiltonian(L, -0.8)
-        assert np.array_equal(op.sector_indices(), _even_states(L))
+        assert np.array_equal(_even_sector(L), _even_states(L))
         P, lengths = _orbit_isometry(L)
         expected = P.T @ _full_matrix(op) @ P
         assert np.abs(op.sector_matrix(sparse=False) - expected).max() < 1e-13
@@ -211,19 +212,13 @@ def test_full_ground_space_doubly_degenerate():
 
 def test_ising_like_limit_ground_vector():
     # J = (0, 0, 1/2): the even-sector ground state is all spins up
-    gs = _ground_from_couplings(3, 0.0, 0.0, 0.5)
+    gs = _ground_state(3, (0.0, 0.0, 0.5))
     psi = np.zeros(2**3)
     psi[gs.sector] = gs.vector
     k = int(np.argmax(np.abs(psi)))
     assert k == 0  # all-up state is index 0
     assert abs(abs(psi[0]) - 1.0) < 1e-12
     assert abs(gs.energy + 3.0 / 4.0) < 1e-12
-
-
-def _ground_from_couplings(L, Jx, Jy, Jz):
-    from susyxyz.edoracle import _ground_state
-
-    return _ground_state(build_from_couplings(L, Jx, Jy, Jz))
 
 
 def test_correlations_L3_xxz():
@@ -370,7 +365,7 @@ def test_dense_eigenpair_matches_eigh(L):
     # eigvalsh and inverse iteration against the full eigenbasis of eigh
     for zq in DEFAULT_ZETA_GRID:
         op = build_hamiltonian(L, float(zq))
-        orbit, _, lengths = _orbits(L, op.sector_indices())
+        orbit, _, lengths = _orbits(L, _even_sector(L))
         H = op.sector_matrix(sparse=False)
         assert len(H) <= DENSE_DIM_MAX
         vals, vecs = np.linalg.eigh(H)
@@ -392,7 +387,7 @@ def test_dense_and_arpack_branches_agree_across_the_crossover(L):
     for zq in (Fraction(-3, 2), Fraction(2, 5), Fraction(5, 2)):
         z = float(zq)
         op = build_hamiltonian(L, z)
-        orbit, _, lengths = _orbits(L, op.sector_indices())
+        orbit, _, lengths = _orbits(L, _even_sector(L))
         if L == 13:
             assert len(lengths) <= DENSE_DIM_MAX
             v0 = np.random.default_rng(L).standard_normal(len(lengths))
@@ -407,6 +402,29 @@ def test_dense_and_arpack_branches_agree_across_the_crossover(L):
         assert abs(gs.energy - e0) <= 1e-12 * abs(e0)
         assert abs(gs.gap - (e1 - e0) / max(abs(e0), 1.0)) <= 1e-10
         assert abs(np.dot(gs.vector, ref)) >= 1 - 1e-12
+
+
+def test_one_solver_per_length(monkeypatch):
+    # the k = 0 dimension of L decides for both blocks: L <= 13 never reaches
+    # ARPACK, and L = 15, whose odd block (484) is within DENSE_DIM_MAX,
+    # takes no dense step
+    import scipy.sparse.linalg
+
+    import susyxyz.edoracle as edoracle
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved on the other path")
+
+    with monkeypatch.context() as m:
+        m.setattr(scipy.sparse.linalg, "eigsh", refuse)
+        for L in (3, 5, 7, 9, 11, 13):
+            assert ground_state_even_sector(L, 0.4).gap > 1e-8
+    for name in ("_dense", "_inverse_iteration"):
+        monkeypatch.setattr(edoracle, name, refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    gs = ground_state_even_sector(15, 0.4)
+    assert (gs.even_dim, gs.odd_dim, gs.ground_block) == (612, 484, "even")
+    assert gs.odd_dim <= DENSE_DIM_MAX < gs.dim
 
 
 def _mirror_positions(L, sec):
@@ -523,7 +541,7 @@ def test_sector_ground_state_matches_full_space_reference():
     # dense diagonalization and full-space correlators as the reference
     L, z = 7, 0.37
     op = build_hamiltonian(L, z)
-    sec = op.sector_indices()
+    sec = _even_sector(L)
     vals, vecs = np.linalg.eigh(_full_matrix(op)[np.ix_(sec, sec)])
     gs = ground_state_even_sector(L, z)
     assert abs(gs.energy - vals[0]) < 1e-12
