@@ -49,7 +49,6 @@ __all__ = [
     "modular_values",
     "zeta_of_eta",
     "gamma_of_eta",
-    "eta_derivative",
     "identity_suite",
     "identity_report",
     "LEMMA_RESIDUALS",
@@ -319,11 +318,15 @@ def gamma_of_eta(eta, tau: complex):
                  *(_on_doubled(j, eta, tau) for j in (2, 3, 4)))
 
 
-def eta_derivative(fn, eta0: float, h: float = 1e-5):
-    """Central difference with one Richardson level."""
-    d1 = (fn(eta0 + h) - fn(eta0 - h)) / (2 * h)
-    d2 = (fn(eta0 + h / 2) - fn(eta0 - h / 2)) / h
-    return (4 * d2 - d1) / 3
+def _eta_derivatives(eta: float, tau: complex):
+    """(d zeta/d eta, d Gamma/d eta) by the chain rule: both are built from
+    theta_j(2 eta | 2 tau), whose eta-derivative is 2 theta_j'(2 eta | 2 tau)."""
+    c2 = theta_context(2 * tau)
+    t = [None] + [theta(j, 2 * eta, c2) for j in range(1, 5)]
+    d = [None] + [theta(j, 2 * eta, c2, 1) for j in range(1, 5)]
+    zeta_eta = 4 * (t[1] / t[4]) * (d[1] * t[4] - t[1] * d[4]) / t[4] ** 2
+    gamma_eta = 2 * gamma_of_eta(eta, tau) * (d[2] / t[2] + d[3] / t[3] - 2 * d[4] / t[4])
+    return zeta_eta, gamma_eta
 
 
 @dataclass(frozen=True)
@@ -383,7 +386,7 @@ def _rand_u(rng: random.Random, tau: complex) -> complex:
 
 
 #: identity_suite entries built from chains of theta evaluations
-#: (finite-difference eta derivatives, Taylor-coefficient ratios, removable
+#: (eta derivatives by the chain rule, Taylor-coefficient ratios, removable
 #: 0/0 limits raised to powers, couplings at generic eta), whose round-off
 #: exceeds that of one identity: they are held to LEMMA_TOLERANCE, the rest
 #: to IDENTITY_TOLERANCE.
@@ -523,8 +526,7 @@ def identity_suite(tau: complex, seed: int = 0) -> dict:
         tally("coupling_combination_product", _rel(lhs, rhs))
 
     # determinant of the linear system for the correlators (eta-derivative form)
-    zz = eta_derivative(lambda e: zeta_of_eta(e, tau), PI / 3)
-    gg = eta_derivative(lambda e: gamma_of_eta(e, tau), PI / 3)
+    zz, gg = _eta_derivatives(PI / 3, tau)
     lhs = mv.zeta * zz - gg
     a_over_bu = (theta(4, 0.0, c2) * theta(1, 2 * PI / 3, c2)
                  / (theta(1, 0.0, c2, 1) * theta(4, 2 * PI / 3, c2)))
@@ -679,8 +681,7 @@ def baxter_f_infinity(tau: complex) -> dict:
     eps_val = -(2 + Gamma0) / 2 - prefactor(eta0) * S
     # 2 eps_eta + Gamma_eta: the Gamma parts cancel against the first term
     two_eps_plus_gamma = -2 * (prefactor_prime(eta0) * S + prefactor(eta0) * S_eta)
-    zeta_eta = eta_derivative(lambda e: zeta_of_eta(e, tau), eta0)
-    Gamma_eta = eta_derivative(lambda e: gamma_of_eta(e, tau), eta0)
+    zeta_eta, Gamma_eta = _eta_derivatives(eta0, tau)
     f_series = eps_val * two_eps_plus_gamma / (zeta0 * zeta_eta - Gamma_eta)
     zr = zeta0.real
     closed = -(zr**2 + 3) * (zr**2 - 6 * zr - 3) / (8 * (zr + 1) ** 2)

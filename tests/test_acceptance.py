@@ -74,7 +74,7 @@ def test_criterion_4_oracle_equivalence():
     from susyxyz import edoracle
     from susyxyz.edoracle import DEFAULT_ZETA_GRID, ed_verify
 
-    stated = (edoracle.F_TOL, edoracle.ENERGY_TOL, edoracle.SPREAD_TOL) == (1e-7, 1e-10, 1e-9)
+    stated = (edoracle.F_TOL, edoracle.ENERGY_TOL) == (1e-7, 1e-10)
     t0 = time.monotonic()
     rep = ed_verify(Ls=(3, 5, 7, 9, 11), zetas=DEFAULT_ZETA_GRID)
     elapsed = time.monotonic() - t0

@@ -134,6 +134,15 @@ def test_finf_cli(capsys):
     assert rep["diff"] < 1e-9
 
 
+@pytest.mark.parametrize("command", ["theta-suite", "finf"])
+def test_theta_checks_pass_at_a_small_nome(capsys, command):
+    # at tau = 0.3i a finite-difference eta derivative put the theta lemma at
+    # 6.1e-10 against its 1e-10 bound; the chain rule meets it
+    code, out = run(capsys, command, "--tau", "0.3")
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+
+
 def test_qsolve_cli(capsys):
     code, out = run(capsys, "qsolve", "--n", "1", "--tau", "1.0")
     assert code == 0

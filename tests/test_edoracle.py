@@ -1,5 +1,6 @@
 """Spin-chain oracle: energies, correlators, inferred f, transfer matrix."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from susyxyz.edoracle import (
     NearSingularInversion,
     SizeLimit,
     _apply_stack,
+    _chain_vector,
     _dense,
     _even_sector,
     _ground_state,
@@ -155,19 +157,17 @@ def _even_sector_matrix(op):
     ), sec
 
 
-def _reference_correlations(L, sec, vec):
-    # reference: bond-averaged (Cx, Cy, Cz) on the full 2^L vector
-    psi = np.zeros(2**L)
-    psi[sec] = vec
+def _reference_correlations(L, psi):
+    # reference: (Cx, Cy, Cz) of each bond j, row j, on the full 2^L vector
     idx = np.arange(2**L)
     s = 1.0 - 2.0 * ((idx[:, None] >> np.arange(L)) & 1)
-    c = np.zeros(3)
+    c = np.zeros((L, 3))
     for j in range(L):
         k = (j + 1) % L
         flipped = psi[idx ^ ((1 << j) | (1 << k))]
         zz = s[:, j] * s[:, k]
-        c += [np.dot(psi, flipped), -np.dot(psi, flipped * zz), np.dot(psi * psi, zz)]
-    return c / L
+        c[j] = [np.dot(psi, flipped), -np.dot(psi, flipped * zz), np.dot(psi * psi, zz)]
+    return c
 
 
 @pytest.mark.parametrize("L", [3, 5, 7, 9, 11, 13, 15])
@@ -182,11 +182,28 @@ def test_momentum_zero_ground_state_matches_even_sector_reference(L):
         ref = vecs[:, order[0]]
         gs = ground_state_even_sector(L, z)
         assert abs(gs.energy - e0) <= 1e-12 * abs(e0)
-        assert min(np.linalg.norm(gs.vector - ref), np.linalg.norm(gs.vector + ref)) < 1e-10
+        # the k = 0 part P^T ref of the reference
+        orbit, _, lengths = _orbits(L, sec)
+        c = np.bincount(orbit, weights=ref) / np.sqrt(lengths)
+        assert min(np.linalg.norm(gs.vector - c), np.linalg.norm(gs.vector + c)) < 1e-10
         # k = 0 is a subspace holding the ground state, so its gap is no smaller
         assert gs.gap >= (e1 - e0) / max(abs(e0), 1.0) - 1e-12
         triple, _, _ = measure_correlations(gs)
-        assert np.abs(np.array(triple) - _reference_correlations(L, sec, ref)).max() < 1e-12
+        psi = np.zeros(2**L)
+        psi[sec] = ref
+        ref_triple = _reference_correlations(L, psi).mean(axis=0)
+        assert np.abs(np.array(triple) - ref_triple).max() < 1e-12
+
+
+@pytest.mark.parametrize("L", [3, 5, 7, 9, 11, 13, 15])
+def test_chain_vector_is_translation_invariant_with_the_quadratic_form_correlators(L):
+    # the scatter transfer_checks uses, bond by bond on the full space
+    for zq in DEFAULT_ZETA_GRID:
+        gs = ground_state_even_sector(L, float(zq))
+        triple, _, _ = measure_correlations(gs)
+        per_bond = _reference_correlations(L, _chain_vector(gs))
+        assert np.abs(per_bond - np.array(triple)).max() < 1e-12
+        assert np.abs(per_bond - per_bond.mean(axis=0)).max() < 1e-9
 
 
 def test_ground_energy_L3_xxz():
@@ -213,8 +230,7 @@ def test_full_ground_space_doubly_degenerate():
 def test_ising_like_limit_ground_vector():
     # J = (0, 0, 1/2): the even-sector ground state is all spins up
     gs = _ground_state(3, (0.0, 0.0, 0.5))
-    psi = np.zeros(2**3)
-    psi[gs.sector] = gs.vector
+    psi = _chain_vector(gs)
     k = int(np.argmax(np.abs(psi)))
     assert k == 0  # all-up state is index 0
     assert abs(abs(psi[0]) - 1.0) < 1e-12
@@ -227,8 +243,8 @@ def test_correlations_L3_xxz():
     assert abs(cx - 2.0 / 3.0) < 1e-8
     assert abs(cy - 2.0 / 3.0) < 1e-8
     assert abs(cz + 1.0 / 3.0) < 1e-8
-    assert spread < 1e-9
-    assert len(per_bond["x"]) == 3
+    # the shape the benchmark child unpacks, exact for a k = 0 vector
+    assert (per_bond, spread) == (None, 0.0)
 
 
 def test_sum_rule_at_half():
@@ -307,7 +323,6 @@ def test_lanczos_path_L15_matches_exact_f7():
     expected = -15 * (z * z + 3) / 4
     assert abs(res["energy"] - expected) / abs(expected) < 1e-10
     assert abs(res["f_z"] - float(f_zeta(7).evaluate(zq))) < 1e-7
-    assert res["spread"] < 1e-9
     assert res["gap"] > 1e-8
 
 
@@ -318,7 +333,6 @@ def test_momentum_zero_path_L21_matches_exact_f10():
     assert sample["dim"] == 49940
     assert sample["energy_residual"] < 1e-10
     assert sample["f_agreement"] < 1e-7
-    assert sample["per_bond_spread"] < 1e-9
     assert sample["gap"] > 1e-8 and sample["residual"] < 1e-10 * 21
 
 
@@ -365,18 +379,16 @@ def test_dense_eigenpair_matches_eigh(L):
     # eigvalsh and inverse iteration against the full eigenbasis of eigh
     for zq in DEFAULT_ZETA_GRID:
         op = build_hamiltonian(L, float(zq))
-        orbit, _, lengths = _orbits(L, _even_sector(L))
         H = op.sector_matrix(sparse=False)
         assert len(H) <= DENSE_DIM_MAX
         vals, vecs = np.linalg.eigh(H)
         e0, e1 = vals[:2]
-        ref = (vecs[:, 0] / np.sqrt(lengths))[orbit]
         gs = ground_state_even_sector(L, float(zq))
         scale = max(abs(e0), 1.0)
         assert abs(gs.energy - e0) <= 1e-12 * abs(e0)
         assert abs(gs.gap - (e1 - e0) / scale) <= 1e-10
-        assert abs(np.dot(gs.vector, ref)) >= 1 - 1e-12
-        c = np.bincount(orbit, weights=gs.vector) / np.sqrt(lengths)
+        assert abs(np.dot(gs.vector, vecs[:, 0])) >= 1 - 1e-12
+        c = gs.vector
         assert np.linalg.norm(H @ c - e0 * c) <= 1e-13 * scale
         assert gs.residual <= 1e-13 * scale
 
@@ -387,21 +399,19 @@ def test_dense_and_arpack_branches_agree_across_the_crossover(L):
     for zq in (Fraction(-3, 2), Fraction(2, 5), Fraction(5, 2)):
         z = float(zq)
         op = build_hamiltonian(L, z)
-        orbit, _, lengths = _orbits(L, _even_sector(L))
         if L == 13:
-            assert len(lengths) <= DENSE_DIM_MAX
-            v0 = np.random.default_rng(L).standard_normal(len(lengths))
+            assert _k0_dim(L) <= DENSE_DIM_MAX
+            v0 = np.random.default_rng(L).standard_normal(_k0_dim(L))
             vals, vecs = eigsh(op.sector_matrix(sparse=True), k=2, which="SA", v0=v0)
         else:
-            assert len(lengths) > DENSE_DIM_MAX
+            assert _k0_dim(L) > DENSE_DIM_MAX
             vals, vecs = np.linalg.eigh(op.sector_matrix(sparse=False))
         order = np.argsort(vals)
         e0, e1 = vals[order[0]], vals[order[1]]
-        ref = (vecs[:, order[0]] / np.sqrt(lengths))[orbit]
         gs = ground_state_even_sector(L, z)
         assert abs(gs.energy - e0) <= 1e-12 * abs(e0)
         assert abs(gs.gap - (e1 - e0) / max(abs(e0), 1.0)) <= 1e-10
-        assert abs(np.dot(gs.vector, ref)) >= 1 - 1e-12
+        assert abs(np.dot(gs.vector, vecs[:, order[0]])) >= 1 - 1e-12
 
 
 def test_one_solver_per_length(monkeypatch):
@@ -466,10 +476,10 @@ def test_row_builds_do_not_depend_on_the_chunk_size(monkeypatch):
     plan = _sector_plan(L)
     couplings = build_hamiltonian(L, 0.4).couplings
     c = _start_vector(L, _k0_dim(L))
-    whole = _parity_blocks(plan, couplings), edoracle._residual(plan, couplings, c, -3.0)
+    whole = _parity_blocks(plan, couplings), edoracle._apply(plan, couplings, c)
     monkeypatch.setattr(edoracle, "ROW_CHUNK", 7)
-    blocks, residual = _parity_blocks(plan, couplings), edoracle._residual(plan, couplings, c, -3.0)
-    assert residual == whole[1]
+    blocks, hc = _parity_blocks(plan, couplings), edoracle._apply(plan, couplings, c)
+    assert np.array_equal(hc, whole[1])
     for got, want in zip(blocks, whole[0]):
         assert np.array_equal(got.cols, want.cols) and np.array_equal(got.vals, want.vals)
 
@@ -478,7 +488,10 @@ def test_sector_plan_is_cached_only_up_to_the_dense_bound():
     for L in (3, 13, 15):
         plan = _sector_plan(L)
         assert len(plan.reps) == _k0_dim(L)
-        assert not any(a.flags.writeable for a in (plan.sec, plan.orbit, plan.cols, plan.mirror))
+        # every array is of the k = 0 dimension, and read-only
+        arrays = [getattr(plan, f.name) for f in dataclasses.fields(plan) if f.name != "L"]
+        assert [len(a) for a in arrays] == [_k0_dim(L)] * 5
+        assert not any(a.flags.writeable for a in arrays)
         assert (_sector_plan(L) is plan) == (_k0_dim(L) <= DENSE_DIM_MAX)
     # the mirror map is an involution that keeps the orbit length
     plan = _sector_plan(11)
@@ -518,8 +531,10 @@ def test_odd_block_below_the_even_one_holds_the_ground_state(monkeypatch, L):
     assert abs(gs.gap - expected_gap) <= 1e-10
     assert gs.residual <= 1e-12 * scale
     # the vector is reflection-odd on the even sector
-    pos = _mirror_positions(L, gs.sector)
-    assert np.abs(gs.vector[pos] + gs.vector).max() < 1e-12
+    sec = _even_sector(L)
+    psi = _chain_vector(gs)[sec]
+    pos = _mirror_positions(L, sec)
+    assert np.abs(psi[pos] + psi).max() < 1e-12
 
 
 @pytest.mark.parametrize("L", [11, 17])
@@ -548,16 +563,9 @@ def test_sector_ground_state_matches_full_space_reference():
     assert abs(gs.gap - (vals[1] - vals[0]) / abs(vals[0])) < 1e-12
     psi = np.zeros(2**L)
     psi[sec] = vecs[:, 0]
-    idx = np.arange(2**L)
-    s = 1.0 - 2.0 * ((idx[:, None] >> np.arange(L)) & 1)
-    _, per_bond, _ = measure_correlations(gs)
-    for j in range(L):
-        k = (j + 1) % L
-        flipped = psi[idx ^ ((1 << j) | (1 << k))]
-        mu = np.where(s[:, j] == s[:, k], -1.0, 1.0)
-        assert abs(per_bond["x"][j] - np.dot(psi, flipped)) < 1e-12
-        assert abs(per_bond["y"][j] - np.dot(psi, flipped * mu)) < 1e-12
-        assert abs(per_bond["z"][j] - np.dot(psi * psi, s[:, j] * s[:, k])) < 1e-12
+    # every bond of the reference carries the bond average
+    triple, _, _ = measure_correlations(gs)
+    assert np.abs(_reference_correlations(L, psi) - np.array(triple)).max() < 1e-12
 
 
 def _kron_transfer_matrix(L, u, eta, tau):
@@ -731,7 +739,7 @@ def test_ed_verify_gates_transfer_residuals(monkeypatch, key):
 
 
 @pytest.mark.parametrize("bound", [
-    "ENERGY_TOL", "F_TOL", "SPREAD_TOL", "TRANSFER_LAMBDA_TOL", "TRANSFER_NORM_TOL",
+    "ENERGY_TOL", "F_TOL", "TRANSFER_LAMBDA_TOL", "TRANSFER_NORM_TOL",
     "TRANSFER_COMMUTATOR_TOL", "TRANSFER_QP_TOL",
 ])
 def test_ed_verify_reads_each_bound(monkeypatch, bound):

@@ -77,6 +77,21 @@ def test_theta_derivative_against_finite_difference():
             assert abs(theta(j, u, ctx, 2) - fd2) < 1e-4
 
 
+@pytest.mark.parametrize("tau", [0.5j, 1j, 2j])
+def test_eta_derivatives_match_a_finite_difference(tau):
+    # reference: a central difference with one Richardson level at h = 1e-5
+    def difference(fn, eta=PI / 3, h=1e-5):
+        d1 = (fn(eta + h) - fn(eta - h)) / (2 * h)
+        d2 = (fn(eta + h / 2) - fn(eta - h / 2)) / h
+        return (4 * d2 - d1) / 3
+
+    got = thetanum._eta_derivatives(PI / 3, tau)
+    want = (difference(lambda e: zeta_of_eta(e, tau)),
+            difference(lambda e: gamma_of_eta(e, tau)))
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-8 * abs(w)
+
+
 def test_qpochhammer_euler():
     # (q; q)_inf via Euler's pentagonal number series
     q = 0.3
