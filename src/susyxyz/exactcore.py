@@ -14,20 +14,36 @@ ascending degree without trailing zeros, over one denominator ``den >= 1``
 with gcd(den, *ints) == 1; the zero polynomial is ``((), 1)``.  The form is
 canonical, so equality and hashing of (ints, den, var) are equality of
 polynomials.  Every operation computes on integers and normalises its
-result once, with one gcd; no ``Fraction`` is formed per coefficient.
-``Poly.coeffs``, the reduced ``Fraction`` coefficients that printing, the
-JSON wire format and callers read, is built on first access and kept.
-Evaluation at an ``int`` or ``Fraction`` runs on the integers; at any other
-point it is Horner over ``coeffs``.
+result once, with one integer gcd; no ``Fraction`` is formed per
+coefficient.  ``Poly.coeffs``, the reduced ``Fraction`` coefficients that
+printing, the JSON wire format and callers read, is built on first access
+and kept.  Evaluation at an ``int`` or ``Fraction`` runs on the integers; at
+any other point it is Horner over ``coeffs``.
 
-One packing kernel serves the product and the gcd.  A coefficient list
-packed at a width of w bytes is one big integer, its value at
-xi = 2**(8w); a big integer unpacked at that width gives back its signed
-base-xi digits.  Four kernels act on integer lists:
+Rational-function arithmetic follows Henrici's rules (J. ACM 3 (1956) 6;
+Knuth, TAOCP vol. 2, 4.5.1): a polynomial gcd runs only on a pair that can
+share a factor.  A sum n1/d1 + n2/d2 takes g = gcd(d1, d2), then
+h = gcd(t, g) for t = n1 (d2/g) + n2 (d1/g), and is (t/h)/((d1/g)(d2/h)); a
+product cancels only gcd(n1, d2) and gcd(n2, d1); a quotient multiplies by
+the reciprocal; a power raises both parts.  A constant or polynomial
+operand has denominator 1 and skips the gcds it would meet.  Only
+``ratfunc_simplify`` of arbitrary num and den runs the full gcd.
+
+One packing kernel serves the product, packed evaluation and the gcd.  A
+coefficient list packed at a width of w bytes is one big integer, its value
+at xi = 2**(8w); a big integer unpacked at that width gives back its signed
+base-xi digits.  Five kernels act on integer lists:
 
 - Products use Kronecker substitution: both lists are packed at a width
   above the largest possible product coefficient, one bigint multiply forms
   the whole product, and the unpack reads its coefficients.
+- Packed evaluation (``poly_expression``) applies an expression in +, -
+  and * to the packs of several integer lists and unpacks the result once;
+  evaluation at xi is a ring homomorphism.  The width rule: the expression
+  evaluated on the operands' 1-norms, every - read as +, bounds every
+  coefficient of the result (|ab|_1 <= |a|_1 |b|_1), and 2**(8w-1) exceeds
+  that bound and every operand's max-norm.  So the packed value is zero
+  exactly when the result is, and a zero result is never unpacked.
 - Exact division is integer long division by the primitive part of the
   divisor.  By Gauss's lemma the quotient of a divisible pair is integral,
   so an inexact step proves a nonzero remainder.
@@ -58,6 +74,7 @@ __all__ = [
     "variable",
     "poly_exact_div",
     "poly_gcd",
+    "poly_expression",
     "ratfunc_simplify",
     "ratfunc_compose",
     "homogeneous_powers",
@@ -254,22 +271,17 @@ class Poly:
         self._check_var(other)
         if not self.ints or not other.ints:
             return _new((), 1, self.var)
-        return _canon(_kronecker_mul(self.ints, other.ints), self.den * other.den, self.var)
+        a, b = (other, self) if len(self.ints) == 1 else (self, other)
+        if len(b.ints) == 1:
+            return _scaled(a.ints, b.ints[0], a.den * b.den, a.var)
+        return _canon(_kronecker_mul(a.ints, b.ints), a.den * b.den, a.var)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
-        out = Poly.constant(1, self.var)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return poly_expression(lambda a: a**n, self, den=self.den**n)
 
     def derivative(self) -> "Poly":
         ints = self.ints
@@ -424,6 +436,37 @@ def _kronecker_mul(a, b) -> list[int]:
     return _unpack(_pack(a, width) * _pack(b, width), width)
 
 
+class _Norm(int):
+    """A 1-norm bound: + and - both add, * multiplies absolute values."""
+
+    __add__ = __radd__ = __sub__ = __rsub__ = lambda a, b: _Norm(int(a) + abs(b))
+    __mul__ = __rmul__ = lambda a, b: _Norm(int(a) * abs(b))
+    __pow__ = lambda a, k: _Norm(int(a) ** k)
+    __neg__ = __pos__ = lambda a: a
+
+
+def _expression_bound(expr, operands) -> int:
+    """A bound on every coefficient of expr on the operands' integer forms."""
+    return int(expr(*(_Norm(sum(map(abs, p.ints))) for p in operands)))
+
+
+def poly_expression(expr, *operands: Poly, den: int = 1) -> Poly:
+    """expr(A_1, ..., A_k) / den, where A_i = p.ints is the integer form of
+    the i-th operand and expr uses only +, - and * with integer constants.
+
+    Each operand is packed once and the result unpacked once, unless it is
+    zero; den >= 1 is the caller's common denominator.
+    """
+    for p in operands:
+        operands[0]._check_var(p)
+    norms = (max(map(abs, p.ints), default=0) for p in operands)
+    width = max(_expression_bound(expr, operands), *norms).bit_length() // 8 + 1
+    value = expr(*(_pack(p.ints, width) for p in operands))
+    if not value:
+        return _new((), 1, operands[0].var)
+    return _canon(_unpack(value, width), den, operands[0].var)
+
+
 def _int_exact_quotient(a, b) -> list[int] | None:
     """Quotient a/b of nonzero integer lists, b primitive; None when b does
     not divide a.
@@ -559,7 +602,9 @@ class RatFunc:
     """Rational function num/den over Q, fully cancelled, den monic.
 
     Construct through :func:`ratfunc_simplify` (or the arithmetic
-    operators); the raw constructor trusts its inputs.
+    operators); the raw constructor trusts its inputs.  The operators keep
+    the form by Henrici's rules (module docstring), with a gcd only where a
+    common factor can exist.
     """
 
     num: Poly
@@ -594,11 +639,20 @@ class RatFunc:
             return RatFunc.constant(other, self.var)
         return NotImplemented
 
-    def __add__(self, other):
+    def __add__(self, other, sign: int = 1):
+        """self + sign * other by Henrici's rule: with g = gcd(d1, d2), only
+        g can share a factor with t = n1 (d2/g) + n2 (d1/g)."""
         o = self._lift(other)
         if o is NotImplemented:
             return o
-        return ratfunc_simplify(self.num * o.den + o.num * self.den, self.den * o.den)
+        n1, d1, n2, d2 = self.num, self.den, o.num, o.den
+        if sign < 0:
+            n2 = -n2
+        g, e1, e2 = _cofactors(d1, d2)
+        if g is None:
+            return _ratfunc(n1 * d2 + n2 * d1, d1 * d2)
+        _, t, gh = _cofactors(n1 * e2 + n2 * e1, g)
+        return _ratfunc(t, e1 * e2 * gh)
 
     __radd__ = __add__
 
@@ -606,48 +660,43 @@ class RatFunc:
         return RatFunc(-self.num, self.den)
 
     def __sub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return o
-        return self + (-o)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        # n1 and d1, n2 and d2 are coprime: only the cross pairs can cancel
         o = self._lift(other)
         if o is NotImplemented:
             return o
-        return ratfunc_simplify(self.num * o.num, self.den * o.den)
+        _, n1, d2 = _cofactors(self.num, o.den)
+        _, n2, d1 = _cofactors(o.num, self.den)
+        return _ratfunc(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
+
+    def _reciprocal(self) -> "RatFunc":
+        if self.num.is_zero():
+            raise DivisionByZeroPoly("division by the zero rational function")
+        return _ratfunc(self.den, self.num)
 
     def __truediv__(self, other):
         o = self._lift(other)
         if o is NotImplemented:
             return o
-        if o.num.is_zero():
-            raise DivisionByZeroPoly("division by the zero rational function")
-        return ratfunc_simplify(self.num * o.den, self.den * o.num)
+        return self * o._reciprocal()
 
     def __rtruediv__(self, other):
         o = self._lift(other)
         if o is NotImplemented:
             return o
-        return o / self
+        return o * self._reciprocal()
 
     def __pow__(self, n: int):
         if n < 0:
-            return RatFunc.constant(1, self.var) / self ** (-n)
-        out = RatFunc.constant(1, self.var)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+            return self._reciprocal() ** -n
+        return RatFunc(self.num ** n, self.den ** n)
 
     def derivative(self) -> "RatFunc":
         return ratfunc_simplify(
@@ -668,20 +717,34 @@ def ratfunc_simplify(num: Poly, den: Poly) -> RatFunc:
     num._check_var(den)
     if den.is_zero():
         raise DivisionByZeroPoly("rational function with zero denominator")
+    _, num, den = _cofactors(num, den)
+    return _ratfunc(num, den)
+
+
+def _cofactors(a: Poly, b: Poly):
+    """(g, a/g, b/g) with g the monic gcd(a, b), or (None, a, b) when that
+    gcd is 1 or a or b is constant or zero.  Monic a or b keeps a monic
+    cofactor."""
+    if len(a.ints) < 2 or len(b.ints) < 2:
+        return None, a, b
+    ca, cb = _int_gcd(*a.ints), _int_gcd(*b.ints)
+    g, qa, qb = _int_gcd_cofactors([c // ca for c in a.ints], [c // cb for c in b.ints])
+    if len(g) == 1:
+        return None, a, b
+    # a = (ca/a.den) * g * qa, and g/lg is monic
+    lg = g[-1]
+    return (_scaled(g, 1, lg, a.var), _scaled(qa, ca * lg, a.den, a.var),
+            _scaled(qb, cb * lg, b.den, b.var))
+
+
+def _ratfunc(num: Poly, den: Poly) -> RatFunc:
+    """num/den for coprime num and den != 0, in canonical form: the zero
+    function over 1, or both scaled by the denominator's leading coefficient."""
     if num.is_zero():
         return RatFunc(num, _new((1,), 1, num.var))
-    cn, cd = _int_gcd(*num.ints), _int_gcd(*den.ints)
-    g, nq, dq = _int_gcd_cofactors(
-        [c // cn for c in num.ints], [c // cd for c in den.ints]
-    )
-    if len(g) == 1 and den.ints[-1] == den.den:
+    if den.ints[-1] == den.den:
         return RatFunc(num, den)
-    # num/den = (cn/num.den) nq / ((cd/den.den) dq), scaled so that dq becomes monic
-    lc = dq[-1]
-    return RatFunc(
-        _scaled(nq, cn * den.den, num.den * cd * lc, num.var),
-        _scaled(dq, 1, lc, num.var),
-    )
+    return RatFunc(num * Fraction(den.den, den.ints[-1]), den.monic())
 
 
 def homogeneous_powers(num: Poly, den: Poly, d: int) -> list[Poly]:

@@ -219,8 +219,12 @@ def factorization_check(ns=range(6)) -> dict:
     most 4, so agreement on a 5x5x5 integer grid decides the identity.  Both
     sides are scaled by 4 so that the grid runs in integers:
     4 H(q, p, t; a) = H(q, 2p, t; a') with a' = (2 a0 - 1, 2 a1, 2 a2, 2 a3,
-    2 a4), integral at the shifted parameters.
+    2 a4), integral at the shifted parameters.  An empty ns raises
+    ValueError: a verdict over no n would check nothing.
     """
+    ns = list(ns)
+    if not ns:
+        raise ValueError("factorization_check needs at least one n")
     results = {}
     for n in ns:
         prm = _shifted_hamiltonian_params(n)
@@ -270,8 +274,11 @@ def pvi_verify(n_max: int = 5) -> dict:
     ODE residual only up to ODE_N_MAX.
 
     Residual rational functions serialize as "num/den"; every residual in a
-    passing report is the literal string "0/1".
+    passing report is the literal string "0/1".  n_max < 0 raises
+    ValueError, as the report would check nothing.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     report = {"ok": True, "orbit": []}
     for n in range(n_max + 1):
         point = iterate_T(n)

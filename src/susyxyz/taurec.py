@@ -13,13 +13,20 @@ The recursion holds for every integer n, so entries at negative index are
 obtained by solving the same relation for the lower index.  That each solve
 is an exact polynomial division is itself part of what this module
 verifies: a nonzero remainder anywhere is a fatal failure.
+
+Every term besides the first is quadratic in s_n and its derivatives, so on
+the integer form s_n = S/D the recursion's right-hand side is an integer
+polynomial expression in S, S', S'' over D^2.  Each solve step evaluates it
+as one packed evaluation (`poly_expression`), and each recursion residual
+is one more, over all three integer forms; a zero residual is never
+unpacked.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactcore import Poly, poly_exact_div
+from .exactcore import Poly, poly_exact_div, poly_expression
 
 __all__ = [
     "TauTable",
@@ -37,11 +44,20 @@ def _coef(n: int, barred: bool) -> Poly:
     return Poly.constant(4 * (3 * n + 1) * (3 * n + 2) - c, "z") + c * 9 * _Z
 
 
+def _p(s, d1, d2, c, a, b):
+    """c s^2 - a (s'' s - s'^2) - b s s', quadratic in s and its derivatives."""
+    return s * (c * s - b * d1) - a * (d2 * s - d1 * d1)
+
+
+def _middle(sn: Poly, n: int, barred: bool) -> tuple:
+    """The operands of `_p` at s_n = S/D: S, S', S'' and the coefficients."""
+    d1 = Poly.from_ints(sn.ints, 1, sn.var).derivative()
+    return sn, d1, d1.derivative(), _coef(n, barred), _A, _B
+
+
 def _solve_product(sn: Poly, n: int, barred: bool) -> Poly:
-    """8(2n+1)^2 s_{n+1} s_{n-1} as a polynomial, from the middle entry."""
-    d1 = sn.derivative()
-    d2 = d1.derivative()
-    return _coef(n, barred) * sn * sn - _A * (d2 * sn - d1 * d1) - _B * sn * d1
+    """8(2n+1)^2 s_{n+1} s_{n-1} = _p(S)/D^2, from the middle entry s_n = S/D."""
+    return poly_expression(_p, *_middle(sn, n, barred), den=sn.den**2)
 
 
 class TauTable:
@@ -80,12 +96,17 @@ class TauTable:
         return self._sbar[n]
 
     def recursion_residual(self, n: int, barred: bool = False) -> Poly:
-        """Substitute the stored triple (n-1, n, n+1) into the recursion."""
+        """Substitute the stored triple (n-1, n, n+1) into the recursion, as
+        one packed evaluation over the integer forms s_k = S_k/D_k."""
         store = self._sbar if barred else self._s
         self.ensure(n - 1)
         self.ensure(n + 1)
-        prod = 8 * (2 * n + 1) ** 2 * store[n + 1] * store[n - 1]
-        return prod - _solve_product(store[n], n, barred)
+        hi, mid, lo = store[n + 1], store[n], store[n - 1]
+        k, e = 8 * (2 * n + 1) ** 2 * mid.den**2, hi.den * lo.den
+        return poly_expression(
+            lambda u, v, *m: k * u * v - e * _p(*m),
+            hi, lo, *_middle(mid, n, barred), den=e * mid.den**2,
+        )
 
     def xxz_check(self, n_max: int) -> dict:
         """Exact check of sbar_n(1/9) = 3^n s_n(1/9) on [-n_max-1, n_max+1],

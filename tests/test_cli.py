@@ -382,6 +382,7 @@ def test_ci_workflow_passes_only_existing_options(capsys):
     argvs = _workflow_argvs()
     assert ["verify-all"] in argvs
     assert ["qsolve", "--n", "12", "--tau", "2.0"] in argvs
+    assert ["pvi-verify", "--n-max", "10"] in argvs
     parser = _build_parser()
     for argv in argvs:
         try:

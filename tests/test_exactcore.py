@@ -12,6 +12,7 @@ from susyxyz.exactcore import (
     Poly,
     RatFunc,
     poly_exact_div,
+    poly_expression,
     poly_from_json,
     poly_gcd,
     poly_to_json,
@@ -355,3 +356,162 @@ def test_prs_fallback_reproduces_results(monkeypatch, request):
         r1, r2 = pvi.hamilton_residuals(pvi.iterate_T(n))
         assert r1.is_zero() and r2.is_zero() and pvi.fpqp_residual(n).is_zero()
     assert fallbacks
+
+
+# -- rational arithmetic by Henrici's rules, against the Fraction reference ----
+
+def ref_pow(p, k):
+    out = P(1, var=p.var)
+    for _ in range(k):
+        out = ref_mul(out, p)
+    return out
+
+
+def parts(x):
+    """(num, den) of a RatFunc, Poly, int or Fraction operand."""
+    if isinstance(x, RatFunc):
+        return x.num, x.den
+    return (x if isinstance(x, Poly) else P(x)), P(1)
+
+
+def ref_add(x, y, sign=1):
+    (n1, d1), (n2, d2) = parts(x), parts(y)
+    return ref_simplify(ref_mul(n1, d2) + sign * ref_mul(n2, d1), ref_mul(d1, d2))
+
+
+def ref_mul_rf(x, y):
+    (n1, d1), (n2, d2) = parts(x), parts(y)
+    return ref_simplify(ref_mul(n1, n2), ref_mul(d1, d2))
+
+
+def ref_div(x, y):
+    (n1, d1), (n2, d2) = parts(x), parts(y)
+    return ref_simplify(ref_mul(n1, d2), ref_mul(d1, n2))
+
+
+def henrici_operands(rng):
+    """RatFuncs whose denominators are equal, overlapping or coprime, with
+    zero, constant and negative-leading parts, then Polys, ints and
+    Fractions."""
+    small = [p for p in kernel_operands(rng) if p.degree <= 3]
+    nonzero = [p for p in small if not p.is_zero()]
+    rats = [RatFunc.constant(0, "z"), ratfunc_simplify(P(-3, 0, -1), P(5, -2))]
+    for _ in range(30):
+        g, u, v = rng.choice(nonzero), rng.choice(nonzero), rng.choice(nonzero)
+        rats.append(ratfunc_simplify(rng.choice(small), g * u))
+        rats.append(ratfunc_simplify(-rng.choice(small), g * v))  # shares g
+        rats.append(ratfunc_simplify(rng.choice(small), g * u))   # same den as two back
+    others = rats + small[:12] + [0, 1, -5, Fraction(-7, 3)]
+    return rats, others
+
+
+def test_ratfunc_arithmetic_matches_reference():
+    rng = random.Random(47)
+    rats, others = henrici_operands(rng)
+    for _ in range(150):
+        r, x = rng.choice(rats), rng.choice(others)
+        assert r + x == ref_add(r, x) and x + r == ref_add(r, x)
+        assert r - x == ref_add(r, x, -1) and x - r == ref_add(x, r, -1)
+        assert r * x == ref_mul_rf(r, x) and x * r == ref_mul_rf(r, x)
+        if parts(x)[0]:
+            assert r / x == ref_div(r, x)
+        if r.num:
+            assert x / r == ref_div(x, r)
+    for r in rats[:20]:
+        for k in range(4):
+            assert r ** k == ref_simplify(ref_pow(r.num, k), ref_pow(r.den, k))
+            if r.num:
+                assert r ** -k == ref_simplify(ref_pow(r.den, k), ref_pow(r.num, k))
+
+
+def test_ratfunc_zero_results_are_canonical():
+    rng = random.Random(53)
+    rats, _ = henrici_operands(rng)
+    zero = RatFunc.constant(0, "z")
+    for r in rats:
+        for z in (r - r, r + (-r), 0 * r, r * 0, r * zero, zero / (r if r.num else 1)):
+            assert z == zero and z.den == P(1)
+    p = P(2, -1, 3)
+    assert RatFunc.from_poly(p) - p == zero and Fraction(3) - RatFunc.constant(3, "z") == zero
+
+
+def test_sum_cancels_the_factor_left_in_the_shared_denominator():
+    # g = gcd(x(x-1), x(x+1)) = x and t = (x+1) + (x-1) = 2x: the factor x
+    # of t survives in g and only h = gcd(t, g) cancels it
+    x = variable("x")
+    f = ratfunc_simplify(P(1, var="x"), x * (x - 1)) + ratfunc_simplify(P(1, var="x"), x * (x + 1))
+    assert (f.num, f.den) == (P(2, var="x"), P(-1, 0, 1, var="x"))
+    # r1 = n/(g u) and r2 = s - r1 for s = m/(g v): the sum leaves u only in g
+    rng = random.Random(61)
+    small = [p for p in kernel_operands(rng) if 1 <= p.degree <= 3]
+    for _ in range(20):
+        g, u, v, m, n = (rng.choice(small) for _ in range(5))
+        r1, s = ratfunc_simplify(n, g * u), ratfunc_simplify(m, g * v)
+        r2 = ref_add(s, r1, -1)
+        assert r1 + r2 == s == ref_add(r1, r2)
+
+
+def test_ratfunc_typed_errors_on_every_path():
+    f = ratfunc_simplify(P(1, 2), P(-3, 1))
+    g_s = ratfunc_simplify(P(1, 2, var="s"), P(-3, 1, var="s"))
+    for other in (g_s, P(1, 1, var="s"), RatFunc.from_poly(P(1, 1, var="s")),
+                  RatFunc.constant(2, "s")):
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+                   lambda a, b: a / b):
+            with pytest.raises(ValueError, match="variable mismatch"):
+                op(f, other)
+            with pytest.raises(ValueError, match="variable mismatch"):
+                op(other, f)
+    zero = RatFunc.constant(0, "z")
+    for divisor in (zero, 0, Fraction(0), P()):
+        with pytest.raises(DivisionByZeroPoly):
+            f / divisor
+    with pytest.raises(DivisionByZeroPoly):
+        1 / zero
+    with pytest.raises(DivisionByZeroPoly):
+        P(1, 1) / zero
+    with pytest.raises(DivisionByZeroPoly):
+        zero ** -2
+    with pytest.raises(DivisionByZeroPoly):
+        ratfunc_simplify(P(1), P())
+
+
+# -- packed evaluation --------------------------------------------------------
+
+def test_expression_bound_is_attained():
+    # (1 + x + ... + x^k)^2 has 1-norm (k+1)^2: the bound is exact on
+    # non-negative operands, and - is read as +
+    from susyxyz.exactcore import _expression_bound
+
+    for k in range(6):
+        a = P(*[1] * (k + 1))
+        assert _expression_bound(lambda u: u * u, [a]) == (k + 1) ** 2 == sum((a * a).ints)
+        assert _expression_bound(lambda u, v: u * u - 3 * v, [a, a]) == (k + 1) ** 2 + 3 * (k + 1)
+        assert poly_expression(lambda u: u * u - u * u, a).is_zero()
+
+
+def test_packed_evaluation_at_the_width_boundary():
+    # single products c1 x^i * c2 x^j whose coefficient equals its bound,
+    # on both sides of 2**7 and 2**15, the half-digit values of widths 1 and 2
+    for target in (2**7, 2**15):
+        for c in (target - 1, target, target + 1):
+            for f in (2, 2**4):
+                c1, c2 = f, -(-c // f)
+                for a, b in ((P(0, c1), P(0, 0, c2)), (P(0, c1), P(0, 0, -c2))):
+                    assert poly_expression(lambda u, v: u * v, a, b) == a * b
+                    assert poly_expression(lambda u, v: u * v + u * v, a, b) == 2 * a * b
+                assert poly_expression(lambda u: u, P(c, -c)) == P(c, -c)
+
+
+def test_packed_evaluation_matches_poly_arithmetic():
+    rng = random.Random(59)
+    ops = kernel_operands(rng)
+    for _ in range(100):
+        a, b, c = rng.choice(ops), rng.choice(ops), rng.choice(ops)
+        a, b, c = (Poly.from_ints(p.ints) for p in (a, b, c))
+        expected = a * (b - 3 * c) - c * c + 7
+        assert poly_expression(lambda u, v, w: u * (v - 3 * w) - w * w + 7, a, b, c) == expected
+        got = poly_expression(lambda u, v: 5 * u * v, a, b, den=10)
+        assert got == a * b * Fraction(1, 2)
+    with pytest.raises(ValueError, match="variable mismatch"):
+        poly_expression(lambda u, v: u * v, P(1, 1), P(1, 1, var="s"))

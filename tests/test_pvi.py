@@ -115,3 +115,22 @@ def test_transform_preserves_constraint():
     for n in range(5):
         prm = iterate_T(n).params
         assert prm.a0 + prm.a1 + 2 * prm.a2 + prm.a3 + prm.a4 == 1
+
+
+def test_empty_ranges_are_refused():
+    # a verdict over no n would pass while checking nothing
+    from susyxyz.pvi import pvi_verify
+
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        pvi_verify(-1)
+    with pytest.raises(ValueError, match="at least one n"):
+        factorization_check(range(0))
+    assert pvi_verify(0)["ok"] and factorization_check([2])["per_n"] == {2: True}
+
+
+def test_zero_momentum_reconstruction_raises_singular_transform():
+    # a4 / q with q = 0 reaches the reciprocal of the zero rational function
+    from susyxyz.pvi import T_OF_S, SingularTransform, _reconstruct_p
+
+    with pytest.raises(SingularTransform):
+        _reconstruct_p(RatFunc.constant(0, "s"), T_OF_S, iterate_T(1).params)

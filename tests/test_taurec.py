@@ -102,3 +102,43 @@ def test_rational_coefficients_allowed():
     # no integrality normalization is imposed
     t = TauTable()
     assert any(c.denominator > 1 for c in t.sbar(-1).coeffs)
+
+
+def ref_solve_product(sn, n, barred):
+    """The recursion's right-hand side as seven Poly products."""
+    from susyxyz.taurec import _A, _B, _coef
+
+    d1 = sn.derivative()
+    d2 = d1.derivative()
+    return _coef(n, barred) * sn * sn - _A * (d2 * sn - d1 * d1) - _B * sn * d1
+
+
+def test_packed_solve_product_matches_seven_products():
+    from susyxyz.taurec import _solve_product, default_table
+
+    t = default_table()
+    for n in range(-16, 17):
+        for sn, barred in ((t.s(n), False), (t.sbar(n), True)):
+            assert _solve_product(sn, n, barred) == ref_solve_product(sn, n, barred)
+    # entries with rational coefficients, as in the default table
+    assert any(t.sbar(n).den > 1 for n in range(-16, 17))
+    for sn in (P(Fraction(1, 2), Fraction(-3, 2)), P(Fraction(-5, 6), 0, Fraction(7, 4), 1)):
+        for n in (-3, 0, 4):
+            assert _solve_product(sn, n, True) == ref_solve_product(sn, n, True)
+
+
+def test_perturbed_entry_gives_the_reference_residuals():
+    t = TauTable()
+    t.ensure(-9)
+    t.ensure(9)
+    cs = list(t.s(7).coeffs)
+    cs[1] += 1
+    t._s[7] = Poly(cs, "z")
+    for n in (6, 7, 8):
+        got = t.recursion_residual(n)
+        ref = 8 * (2 * n + 1) ** 2 * t.s(n + 1) * t.s(n - 1) - ref_solve_product(t.s(n), n, False)
+        assert not got.is_zero() and got == ref
+    assert t.recursion_residual(5).is_zero() and t.recursion_residual(9).is_zero()
+    assert t.recursion_residual(7, barred=True).is_zero()
+    rep = t.check(8)
+    assert rep["recursion_residuals_zero"] is False and rep["ok"] is False
